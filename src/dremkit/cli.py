@@ -103,14 +103,23 @@ def parse_bank(cfg: dict) -> OperatorBank:
     return OperatorBank(tuple(channels))
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _fail(field, f"expected a number, got {value!r}") from None
+
+
 def parse_grid(cfg: dict) -> tuple[float, float]:
     grid = _get(cfg, "grid")
-    step = float(_get(grid, "step"))
-    horizon = float(_get(grid, "horizon"))
+    step = _number(_get(grid, "step"), "grid.step")
+    horizon = _number(_get(grid, "horizon"), "grid.horizon")
     if step <= 0:
         raise _fail("grid.step", "must be positive")
     if horizon < 0:
         raise _fail("grid.horizon", "must be nonnegative")
+    if _number(grid.get("t0", 0.0), "grid.t0") != 0.0:
+        raise _fail("grid.t0", "studies start at t = 0; omit t0 or set it to 0.0")
     return horizon, step
 
 
@@ -263,6 +272,8 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
         plant_cfg = _get(cfg, "plant", required=required, default=None)
         plant = None
         if plant_cfg is not None:
+            if "input_kind" in cfg:
+                raise _fail("input_kind", "conflicts with 'plant', which sets its own input")
             plant = PlantSpec(
                 a=float(_get(plant_cfg, "a")),
                 b=float(_get(plant_cfg, "b")),
@@ -275,7 +286,7 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
         bank = parse_bank(bank_cfg) if bank_cfg else None
         est = _get(cfg, "estimator", required=required, default={}) or {}
         result = run_identification_scenario(
-            input_kind=cfg.get("input_kind", "rich") if plant is None else "rich",
+            input_kind=cfg.get("input_kind", "rich"),
             horizon=horizon,
             step=step,
             gamma=float(est.get("gamma", 1.0)),

@@ -2,8 +2,10 @@
 
 Continuous-time estimators integrate with fixed-step RK4, reading the data
 signals at half steps by linear interpolation between grid samples (the data
-only exists on the grid). Discrete-time estimators are exact recursions. The
-closed-form error envelopes
+only exists on the grid). Their dynamics are linear in the estimate, so every
+RK4 step is an affine map; the maps are built for the whole record at once
+and composed by a prefix scan (:mod:`dremkit.integrate`). Discrete-time
+estimators stay exact sequential recursions. The closed-form error envelopes
 
     CT:  err(t) = exp(-gamma * int_0^t Delta^2) * err(0)
     DT:  err(k) = prod_{j=1..k} [1 / (1 + Delta(j)^2 / gamma)] * err(0)
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_simpson
 from .signals import Trajectory
@@ -97,23 +100,15 @@ def ct_gradient(
     if not np.all(gamma == gamma[0]):
         raise ValueError("the vector estimator uses a single gain")
     g = gamma[0]
-    h = y.grid.step
     pv, yv = phi.values, y.values
     pm, ym = _midpoints(pv), _midpoints(yv)
 
-    th = np.empty((y.grid.count, m))
-    x = cfg.initial(m)
-    th[0] = x
-    for k in range(y.grid.count - 1):
-        k1 = g * pv[k] * (yv[k] - pv[k] @ x)
-        x1 = x + 0.5 * h * k1
-        k2 = g * pm[k] * (ym[k] - pm[k] @ x1)
-        x2 = x + 0.5 * h * k2
-        k3 = g * pm[k] * (ym[k] - pm[k] @ x2)
-        x3 = x + h * k3
-        k4 = g * pv[k + 1] * (yv[k + 1] - pv[k + 1] @ x3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        th[k + 1] = x
+    # theta_hat' = L theta_hat + f with L = -g phi phi^T and f = g phi y
+    def stage(p, yy):
+        return -g * np.einsum("ki,kj->kij", p, p), g * p * yy[:, None]
+
+    (L0, f0), (Lm, fm), (L1, f1) = stage(pv[:-1], yv[:-1]), stage(pm, ym), stage(pv[1:], yv[1:])
+    th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, y.grid.step), cfg.initial(m))
     hat = Trajectory(y.grid, th, "ct")
     diag = Trajectory(y.grid, np.einsum("ki,ki->k", pv, pv), "ct")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
@@ -157,27 +152,22 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
 
         theta_hat_i' = gamma_i * Delta * (calY_i - Delta * theta_hat_i),
 
-    one independent RK4 integration per component.
+    one independent RK4 integration per component (elementwise step maps).
     """
     if mixed.calY.kind != "ct":
         raise ValueError("drem_ct expects CT mixed data")
     m = mixed.dim
     gamma = cfg.gains(m)
     grid = mixed.calY.grid
-    h = grid.step
     D, Yc = mixed.Delta.values, mixed.calY.values
     Dm, Ym = _midpoints(D), _midpoints(Yc)
 
-    th = np.empty((grid.count, m))
-    x = cfg.initial(m)
-    th[0] = x
-    for k in range(grid.count - 1):
-        k1 = gamma * D[k] * (Yc[k] - D[k] * x)
-        k2 = gamma * Dm[k] * (Ym[k] - Dm[k] * (x + 0.5 * h * k1))
-        k3 = gamma * Dm[k] * (Ym[k] - Dm[k] * (x + 0.5 * h * k2))
-        k4 = gamma * D[k + 1] * (Yc[k + 1] - D[k + 1] * (x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        th[k + 1] = x
+    # per component: theta_hat_i' = -gamma_i Delta^2 theta_hat_i + gamma_i Delta calY_i
+    def stage(d, yy):
+        return -gamma * (d * d)[:, None], gamma * d[:, None] * yy
+
+    (L0, f0), (Lm, fm), (L1, f1) = stage(D[:-1], Yc[:-1]), stage(Dm, Ym), stage(D[1:], Yc[1:])
+    th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, grid.step), cfg.initial(m))
     hat = Trajectory(grid, th, "ct")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta)
 

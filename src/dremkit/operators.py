@@ -11,12 +11,15 @@ A bank of m channels applied to the scalar output y and to every component
 of the regressor phi produces the extended pair (Y, Phi) with Y = Phi theta
 (exact for zero initial conditions, up to transients otherwise).
 
-Continuous-time integration is fixed-step RK4 with the input and any
+Continuous-time channels integrate by fixed-step RK4 with the input and any
 time-varying coefficients held at the left grid point over each step
-(zero-order hold). Holding the coefficients as well keeps the channel
-realization and the single-filter path of :func:`kre_ct` step-for-step
-identical, which the equivalence tests rely on. Signals are taken to vanish
-before time zero, so delayed taps read 0 until the delay window fills.
+(zero-order hold). Each step is an affine map of the state; the maps are
+built for the whole record at once and composed by a prefix scan
+(:mod:`dremkit.integrate`). A scalar-state channel and the single-filter
+path of :func:`kre_ct` go through the same elementwise maps, so the two
+agree bit for bit. Discrete-time channels run the exact state recursion
+sample by sample. Signals are taken to vanish before time zero, so delayed
+taps read 0 until the delay window fills.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .integrate import affine_scan, rk4_affine
 from .signals import TimeGrid, Trajectory, SignalKind
 
 Coefficient = float | Sequence | np.ndarray | Callable
@@ -173,14 +177,6 @@ def _delayed_input(u: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _rk4_held_step(A: np.ndarray, force: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = A @ x + force
-    k2 = A @ (x + 0.5 * h * k1) + force
-    k3 = A @ (x + 0.5 * h * k2) + force
-    k4 = A @ (x + h * k3) + force
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
     """Run one channel over a sampled CT input, returning z on the same grid."""
     if spec.kind != "ct":
@@ -205,31 +201,12 @@ def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
     c_tab = _coefficient_table(spec.c, times, (spec.n,))
 
     if spec.n == 1:
-        # scalar state: plain float arithmetic, same stage sequence
-        a_flat = A_tab[:, 0, 0]
-        b_flat = b_tab[:, 0]
-        x = float(spec.x0[0])
-        xs = np.empty(grid.count)
-        xs[0] = x
-        for k in range(grid.count - 1):
-            a = a_flat[k]
-            force = b_flat[k] * uv[k]
-            k1 = a * x + force
-            k2 = a * (x + 0.5 * h * k1) + force
-            k3 = a * (x + 0.5 * h * k2) + force
-            k4 = a * (x + h * k3) + force
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            xs[k + 1] = x
-        z = z + c_tab[:, 0] * xs
-        return Trajectory(grid, z, "ct")
-
-    x = spec.x0.copy()
-    xs = np.empty((grid.count, spec.n))
-    xs[0] = x
-    for k in range(grid.count - 1):
-        x = _rk4_held_step(A_tab[k], b_tab[k] * uv[k], x, h)
-        xs[k + 1] = x
-    z = z + np.einsum("ki,ki->k", c_tab, xs)
+        # scalar state: elementwise maps, the same arithmetic as kre_ct
+        A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], spec.x0[0]
+    else:
+        A, force, x0 = A_tab[:-1], b_tab[:-1] * uv[:-1, None], spec.x0
+    xs = affine_scan(*rk4_affine(A, A, A, force, force, force, h), x0)
+    z = z + np.einsum("ki,ki->k", c_tab, xs.reshape(grid.count, spec.n))
     return Trajectory(grid, z, "ct")
 
 
@@ -333,7 +310,8 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
 
         Omega' = -pole*Omega + phi phi^T,   Z' = -pole*Z + phi y
 
-    by the same held-coefficient RK4 used for channel banks.
+    by the same held-coefficient RK4 step maps used for channel banks, as
+    one scan over the flattened Omega and Z entries.
     """
     if not y.is_scalar or not phi.is_vector:
         raise ValueError("kre_ct expects scalar y and vector phi")
@@ -342,33 +320,21 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
     grid = y.grid
     h = grid.step
     m = phi.dim
-    a = spec.pole
-    omega = np.zeros((m, m)) if spec.omega0 is None else np.asarray(spec.omega0, float).copy()
-    zvec = np.zeros(m) if spec.z0 is None else np.asarray(spec.z0, float).copy()
+    pole = spec.pole
+    omega = np.zeros((m, m)) if spec.omega0 is None else np.asarray(spec.omega0, float)
+    zvec = np.zeros(m) if spec.z0 is None else np.asarray(spec.z0, float)
     if omega.shape != (m, m) or zvec.shape != (m,):
         raise ValueError("initial conditions have the wrong shape")
 
-    P = np.einsum("ki,kj->kij", phi.values, phi.values)
+    # Omega and Z share the scalar pole, so they run as one elementwise scan
+    # over the m*m + m flattened columns
+    P = np.einsum("ki,kj->kij", phi.values, phi.values).reshape(grid.count, m * m)
     q = phi.values * y.values[:, None]
-    Omega = np.empty((grid.count, m, m))
-    Z = np.empty((grid.count, m))
-    Omega[0] = omega
-    Z[0] = zvec
-    for k in range(grid.count - 1):
-        force = P[k]
-        k1 = -a * omega + force
-        k2 = -a * (omega + 0.5 * h * k1) + force
-        k3 = -a * (omega + 0.5 * h * k2) + force
-        k4 = -a * (omega + h * k3) + force
-        omega = omega + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        fz = q[k]
-        k1 = -a * zvec + fz
-        k2 = -a * (zvec + 0.5 * h * k1) + fz
-        k3 = -a * (zvec + 0.5 * h * k2) + fz
-        k4 = -a * (zvec + h * k3) + fz
-        zvec = zvec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Omega[k + 1] = omega
-        Z[k + 1] = zvec
+    force = np.concatenate([P, q], axis=1)[:-1]
+    x0 = np.concatenate([omega.ravel(), zvec])
+    states = affine_scan(*rk4_affine(-pole, -pole, -pole, force, force, force, h), x0)
+    Omega = states[:, : m * m].reshape(grid.count, m, m)
+    Z = states[:, m * m :]
     return Trajectory(grid, Z, "ct"), Trajectory(grid, Omega, "ct")
 
 

@@ -11,6 +11,9 @@ Two studies are wired up:
   scalar regression y = Delta * theta, comparing the plain estimator with
   the two finite-time recovery pipelines.
 
+The plant and the regressor filters are linear ODEs integrated by RK4; their
+step maps are composed by the prefix scan of :mod:`dremkit.integrate`.
+
 All initial conditions default to zero and are configurable; the stated
 convergence properties are sensitive to them because the constant-input case
 draws all of its excitation from the startup transient.
@@ -25,6 +28,7 @@ import numpy as np
 
 from .estimators import EstimatorRun, GradientConfig, ct_gradient, drem_ct
 from .ftc import FtcConfig, FtcRun, run_ftc, run_ftc_alert
+from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression, extend_with_feedforward, mix
 from .operators import LtvChannelSpec, OperatorBank, extend
 from .signals import (
@@ -88,19 +92,9 @@ def simulate_plant(spec: PlantSpec, grid: TimeGrid) -> tuple[Trajectory, Traject
     h = grid.step
     times = grid.times()
     u = np.array([spec.input(float(t)) for t in times])
-    y = np.empty(grid.count)
-    yk = spec.y0
-    y[0] = yk
+    um = np.array([spec.input(float(t) + 0.5 * h) for t in times[:-1]])
     a, b = spec.a, spec.b
-    for k in range(grid.count - 1):
-        t = times[k]
-        um = spec.input(float(t) + 0.5 * h)
-        k1 = a * yk + b * u[k]
-        k2 = a * (yk + 0.5 * h * k1) + b * um
-        k3 = a * (yk + 0.5 * h * k2) + b * um
-        k4 = a * (yk + h * k3) + b * u[k + 1]
-        yk = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[k + 1] = yk
+    y = affine_scan(*rk4_affine(a, a, a, b * u[:-1], b * um, b * u[1:], h), spec.y0)
     return Trajectory(grid, u, "ct"), Trajectory(grid, y, "ct")
 
 
@@ -116,20 +110,13 @@ def build_regressor(
     if u.grid != y.grid or u.kind != "ct" or y.kind != "ct":
         raise ValueError("u and y must be CT signals on one grid")
     grid = u.grid
-    h = grid.step
     pole = reg.pole
     drives = np.stack([y.values, u.values], axis=1)
     mids = 0.5 * (drives[:-1] + drives[1:])
-    x = np.zeros(2) if reg.phi0 is None else np.asarray(reg.phi0, float).copy()
-    phi = np.empty((grid.count, 2))
-    phi[0] = x
-    for k in range(grid.count - 1):
-        k1 = -pole * x + drives[k]
-        k2 = -pole * (x + 0.5 * h * k1) + mids[k]
-        k3 = -pole * (x + 0.5 * h * k2) + mids[k]
-        k4 = -pole * (x + h * k3) + drives[k + 1]
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi[k + 1] = x
+    x0 = np.zeros(2) if reg.phi0 is None else np.asarray(reg.phi0, float)
+    phi = affine_scan(
+        *rk4_affine(-pole, -pole, -pole, drives[:-1], mids, drives[1:], grid.step), x0
+    )
     theta_true = np.array([plant.a + pole, plant.b])
     return Trajectory(grid, phi, "ct"), theta_true
 

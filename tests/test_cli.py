@@ -33,6 +33,24 @@ FTC_CFG = {
     "ftc": {"gamma": 2.0, "clip_threshold": 0.98, "delay_window": 0.2},
 }
 
+CUSTOM_CFG = {
+    "mode": "custom",
+    "grid": {"step": 1e-3, "horizon": 0.2},
+    "plant": {
+        "a": -0.4,
+        "b": 0.4,
+        "input": {"kind": "sinusoid", "amplitude": 15, "frequency": 2.5, "phase": 1.0},
+    },
+    "regressor": {"pole": 5.0},
+    "bank": {
+        "channels": [
+            {"n": 1, "A": -1.0, "b": 1.0, "c": 1.0},
+            {"n": 1, "A": -2.0, "b": 2.0, "c": 1.0},
+        ]
+    },
+    "estimator": {"gamma": 1.0, "theta_hat0": [0.0, 0.0]},
+}
+
 
 class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
@@ -130,6 +148,29 @@ class TestSimulate:
         cfg = write_config(tmp_path, FTC_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_diverging_integration_exits_2_without_csvs(self, tmp_path, capsys):
+        # gain 1e6 at h = 1e-3 is far outside RK4's stability region
+        cfg = json.loads(json.dumps(CUSTOM_CFG))
+        cfg["grid"]["horizon"] = 2.0
+        cfg["estimator"]["gamma"] = 1e6
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("t0", [5.0, "soon"])
+    def test_nonzero_grid_t0_exits_1(self, tmp_path, capsys, t0):
+        cfg = dict(IDENTIFY_CFG, grid={"t0": t0, "step": 1e-3, "horizon": 0.1})
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "grid.t0" in capsys.readouterr().err
+
+    def test_input_kind_with_plant_exits_1(self, tmp_path, capsys):
+        cfg = dict(CUSTOM_CFG, mode="identify", input_kind="constant")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "input_kind" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DREMKIT_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, IDENTIFY_CFG)
@@ -149,26 +190,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
     def test_custom_mode_full_config(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "mode": "custom",
-                "grid": {"step": 1e-3, "horizon": 0.2},
-                "plant": {
-                    "a": -0.4,
-                    "b": 0.4,
-                    "input": {"kind": "sinusoid", "amplitude": 15, "frequency": 2.5, "phase": 1.0},
-                },
-                "regressor": {"pole": 5.0},
-                "bank": {
-                    "channels": [
-                        {"n": 1, "A": -1.0, "b": 1.0, "c": 1.0},
-                        {"n": 1, "A": -2.0, "b": 2.0, "c": 1.0},
-                    ]
-                },
-                "estimator": {"gamma": 1.0, "theta_hat0": [0.0, 0.0]},
-            },
-        )
+        cfg = write_config(tmp_path, CUSTOM_CFG)
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "drem_dN.csv").exists()
