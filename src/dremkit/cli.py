@@ -57,18 +57,19 @@ def _get(cfg: dict, field: str, required: bool = True, default=None):
     return default
 
 
-def named_signal(spec) -> Sinusoid | Constant:
-    """Named time-varying entry: a bare number means a constant."""
+def named_signal(spec, field: str) -> Sinusoid | Constant:
+    """Named time-varying entry: a bare number means a constant. ``field``
+    names the entry in error messages."""
     if isinstance(spec, (int, float)):
         return Constant(float(spec))
     kind = _get(spec, "kind")
     if kind == "constant":
-        return Constant(float(_get(spec, "level")))
+        return Constant(_number(_get(spec, "level"), f"{field}.level"))
     if kind == "sinusoid":
         return Sinusoid(
-            amplitude=float(_get(spec, "amplitude")),
-            frequency=float(_get(spec, "frequency")),
-            phase=float(spec.get("phase", 0.0)),
+            amplitude=_number(_get(spec, "amplitude"), f"{field}.amplitude"),
+            frequency=_number(_get(spec, "frequency"), f"{field}.frequency"),
+            phase=_number(spec.get("phase", 0.0), f"{field}.phase"),
         )
     raise _fail("kind", f"unknown signal kind {kind!r}")
 
@@ -76,7 +77,7 @@ def named_signal(spec) -> Sinusoid | Constant:
 def _channel_entry(value, field: str):
     """Channel coefficient: constant number/matrix or a named signal."""
     if isinstance(value, dict):
-        return named_signal(value)
+        return named_signal(value, field)
     if isinstance(value, (int, float, list)):
         return value
     raise _fail(field, f"cannot interpret {value!r}")
@@ -88,13 +89,13 @@ def parse_bank(cfg: dict) -> OperatorBank:
         try:
             channels.append(
                 LtvChannelSpec(
-                    n=int(ch.get("n", 0)),
+                    n=_integer(ch.get("n", 0), "n"),
                     A=_channel_entry(ch["A"], "A") if "A" in ch else None,
                     b=_channel_entry(ch["b"], "b") if "b" in ch else None,
                     c=_channel_entry(ch["c"], "c") if "c" in ch else None,
                     d=_channel_entry(ch.get("d", 0.0), "d"),
                     delay_gain=_channel_entry(ch.get("mu", 0.0), "mu"),
-                    delay=float(ch.get("delay", 0.0)),
+                    delay=_number(ch.get("delay", 0.0), "delay"),
                     kind=ch.get("kind", "ct"),
                 )
             )
@@ -108,6 +109,20 @@ def _number(value, field: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a number, got {value!r}") from None
+
+
+def _numbers(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise _fail(field, f"expected a list of numbers, got {value!r}") from None
+
+
+def _integer(value, field: str) -> int:
+    number = _number(value, field)
+    if not number.is_integer():
+        raise _fail(field, f"expected an integer, got {value!r}")
+    return int(number)
 
 
 def parse_grid(cfg: dict) -> tuple[float, float]:
@@ -275,13 +290,17 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
             if "input_kind" in cfg:
                 raise _fail("input_kind", "conflicts with 'plant', which sets its own input")
             plant = PlantSpec(
-                a=float(_get(plant_cfg, "a")),
-                b=float(_get(plant_cfg, "b")),
-                y0=float(plant_cfg.get("y0", 0.0)),
-                input=named_signal(_get(plant_cfg, "input")),
+                a=_number(_get(plant_cfg, "a"), "plant.a"),
+                b=_number(_get(plant_cfg, "b"), "plant.b"),
+                y0=_number(plant_cfg.get("y0", 0.0), "plant.y0"),
+                input=named_signal(_get(plant_cfg, "input"), "plant.input"),
             )
         reg_cfg = _get(cfg, "regressor", required=required, default=None)
-        regressor = RegressorSpec(pole=float(_get(reg_cfg, "pole"))) if reg_cfg else None
+        regressor = (
+            RegressorSpec(pole=_number(_get(reg_cfg, "pole"), "regressor.pole"))
+            if reg_cfg
+            else None
+        )
         bank_cfg = _get(cfg, "bank", required=required, default=None)
         bank = parse_bank(bank_cfg) if bank_cfg else None
         est = _get(cfg, "estimator", required=required, default={}) or {}
@@ -289,8 +308,8 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
             input_kind=cfg.get("input_kind", "rich"),
             horizon=horizon,
             step=step,
-            gamma=float(est.get("gamma", 1.0)),
-            theta_hat0=np.asarray(est.get("theta_hat0", [0.0, 0.0]), float),
+            gamma=_number(est.get("gamma", 1.0), "estimator.gamma"),
+            theta_hat0=_numbers(est.get("theta_hat0", [0.0, 0.0]), "estimator.theta_hat0"),
             plant=plant,
             regressor=regressor,
             bank=bank,
@@ -304,10 +323,10 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
             delta_kind=_get(cfg, "delta_kind"),
             horizon=horizon,
             step=step,
-            gamma=float(ftc_cfg.get("gamma", 2.0)),
-            clip_threshold=float(ftc_cfg.get("clip_threshold", 0.98)),
-            delay_window=float(ftc_cfg.get("delay_window", 0.2)),
-            theta_hat0=float(ftc_cfg.get("theta_hat0", 0.0)),
+            gamma=_number(ftc_cfg.get("gamma", 2.0), "ftc.gamma"),
+            clip_threshold=_number(ftc_cfg.get("clip_threshold", 0.98), "ftc.clip_threshold"),
+            delay_window=_number(ftc_cfg.get("delay_window", 0.2), "ftc.delay_window"),
+            theta_hat0=_number(ftc_cfg.get("theta_hat0", 0.0), "ftc.theta_hat0"),
             use_delayed_snapshot=bool(ftc_cfg.get("use_delayed_snapshot", True)),
         )
         _ftc_csvs(writer, result)
@@ -327,23 +346,23 @@ def _pe_signal(cfg: dict) -> Trajectory:
     kind = _get(sig, "kind")
     domain = sig.get("domain", "ct")
     if kind == "counterexample":
-        horizon = int(sig.get("horizon", 100_000))
+        horizon = _integer(sig.get("horizon", 100_000), "signal.horizon")
         grid = TimeGrid(0.0, 1.0, horizon)
         k = np.arange(horizon)
         return Trajectory(grid, (k + 1.0) ** -0.25, "dt")
     if kind == "zero":
         from .signals import DEFAULT_DT_STEP
 
-        horizon = float(sig.get("horizon", 10.0))
-        step = float(sig.get("step", 1e-3 if domain == "ct" else DEFAULT_DT_STEP))
+        horizon = _number(sig.get("horizon", 10.0), "signal.horizon")
+        step = _number(sig.get("step", 1e-3 if domain == "ct" else DEFAULT_DT_STEP), "signal.step")
         grid = TimeGrid.from_horizon(horizon, step)
-        dim = int(sig.get("dim", 1))
+        dim = _integer(sig.get("dim", 1), "signal.dim")
         vals = np.zeros((grid.count, dim)) if dim > 1 else np.zeros(grid.count)
         return Trajectory(grid, vals, domain)
     if kind == "sinusoid-pair":
         # (sin t, cos t) sampled so the window is a grid multiple
-        step = float(sig.get("step", 2.0 * np.pi / 6000))
-        horizon = float(sig.get("horizon", 8.0 * np.pi))
+        step = _number(sig.get("step", 2.0 * np.pi / 6000), "signal.step")
+        horizon = _number(sig.get("horizon", 8.0 * np.pi), "signal.horizon")
         grid = TimeGrid.from_horizon(horizon, step)
         t = grid.times()
         return Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), "ct")
@@ -352,10 +371,10 @@ def _pe_signal(cfg: dict) -> Trajectory:
 
 def _pe_check_text(cfg: dict) -> str:
     sig_kind = _get(_get(cfg, "signal"), "kind")
-    threshold = float(cfg.get("threshold", 1e-3))
+    threshold = _number(cfg.get("threshold", 1e-3), "threshold")
     if sig_kind == "counterexample":
-        horizon = int(cfg["signal"].get("horizon", 100_000))
-        max_window = int(cfg.get("max_window", 100))
+        horizon = _integer(cfg["signal"].get("horizon", 100_000), "signal.horizon")
+        max_window = _integer(cfg.get("max_window", 100), "max_window")
         report = counterexample_suite(horizon, max_window, threshold)
         lines = [
             f"counterexample suite, horizon {report.horizon}, threshold {report.threshold}",
@@ -372,9 +391,9 @@ def _pe_check_text(cfg: dict) -> str:
     phi = _pe_signal(cfg)
     window = _get(cfg, "window")
     if phi.kind == "ct":
-        report = pe_check_ct(phi, float(window), threshold)
+        report = pe_check_ct(phi, _number(window, "window"), threshold)
     else:
-        report = pe_check_dt(phi, int(window), threshold)
+        report = pe_check_dt(phi, _integer(window, "window"), threshold)
     return (
         f"signal {sig_kind}, domain {phi.kind}, window {report.window},"
         f" threshold {report.threshold}\n"
@@ -425,15 +444,16 @@ def cmd_reproduce(figure_id: str, out_dir: str | None) -> int:
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
     cfg = _reproduce_config(figure_id)
+    horizon, step = parse_grid(cfg)
     out = resolve_out_dir(out_dir, cfg)
     writer = OutputWriter(out)
     if cfg["mode"] == "identify":
         result = run_identification_scenario(
-            input_kind=cfg["input_kind"], horizon=20.0, step=1e-3
+            input_kind=cfg["input_kind"], horizon=horizon, step=step
         )
         _estimator_csvs(writer, result)
     else:
-        result = run_ftc_scenario(delta_kind=cfg["delta_kind"], horizon=40.0, step=1e-3)
+        result = run_ftc_scenario(delta_kind=cfg["delta_kind"], horizon=horizon, step=step)
         t_range = {"ftc-pe-early": (0.0, 3.0), "ftc-pe-late": (9.0, 40.0)}.get(figure_id)
         _ftc_csvs(writer, result, t_range=t_range)
     writer.text("summary.txt", _summary_text(result))

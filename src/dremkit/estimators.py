@@ -5,7 +5,9 @@ signals at half steps by linear interpolation between grid samples (the data
 only exists on the grid). Their dynamics are linear in the estimate, so every
 RK4 step is an affine map; the maps are built for the whole record at once
 and composed by a prefix scan (:mod:`dremkit.integrate`). Discrete-time
-estimators stay exact sequential recursions. The closed-form error envelopes
+estimators stay exact sequential recursions: their per-sample gains are
+computed as arrays, and the recursion itself runs over Python floats, one
+bounded block of samples converted at a time. The closed-form error envelopes
 
     CT:  err(t) = exp(-gamma * int_0^t Delta^2) * err(0)
     DT:  err(k) = prod_{j=1..k} [1 / (1 + Delta(j)^2 / gamma)] * err(0)
@@ -25,6 +27,9 @@ from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_simpson
 from .signals import Trajectory
+
+# samples per block of the DT recursions; bounds the Python floats alive at once
+_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +88,12 @@ def _error_trajectory(theta_hat: Trajectory, theta_true) -> Trajectory | None:
     return theta_hat.with_values(theta_hat.values - truth)
 
 
+def _blocks(count: int):
+    """(start, stop) ranges of at most ``_BLOCK`` samples covering 1..count-1."""
+    for start in range(1, count, _BLOCK):
+        yield start, min(start + _BLOCK, count)
+
+
 def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
 
@@ -134,16 +145,25 @@ def dt_gradient(
         raise ValueError("the vector estimator uses a single gain")
     g = gamma[0]
     pv, yv = phi.values, y.values
+    pp = np.einsum("ki,ki->k", pv, pv)
 
     th = np.empty((y.grid.count, m))
-    x = cfg.initial(m)
+    x = cfg.initial(m).tolist()
     th[0] = x
-    for k in range(1, y.grid.count):
-        p = pv[k]
-        x = x + p / (g + p @ p) * (yv[k] - p @ x)
-        th[k] = x
+    for start, stop in _blocks(y.grid.count):
+        p_blk = pv[start:stop]
+        gains = p_blk / (g + pp[start:stop])[:, None]
+        rows = []
+        for p, gain, yk in zip(p_blk.tolist(), gains.tolist(), yv[start:stop].tolist()):
+            s = 0.0
+            for p_i, x_i in zip(p, x):
+                s += p_i * x_i
+            e = yk - s
+            x = [x_i + g_i * e for x_i, g_i in zip(x, gain)]
+            rows.append(x)
+        th[start:stop] = rows
     hat = Trajectory(y.grid, th, "dt")
-    diag = Trajectory(y.grid, np.einsum("ki,ki->k", pv, pv), "dt")
+    diag = Trajectory(y.grid, pp, "dt")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
 
 
@@ -189,12 +209,17 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
     D, Yc = mixed.Delta.values, mixed.calY.values
 
     th = np.empty((grid.count, m))
-    x = cfg.initial(m)
-    th[0] = x
-    for k in range(1, grid.count):
-        d = D[k]
-        x = x + d / (gamma + d * d) * (Yc[k] - d * x)
-        th[k] = x
+    th[0] = cfg.initial(m)
+    for i in range(m):
+        x = float(th[0, i])
+        for start, stop in _blocks(grid.count):
+            d_blk = D[start:stop]
+            gains = d_blk / (gamma[i] + d_blk * d_blk)
+            lane = []
+            for g, yk, d in zip(gains.tolist(), Yc[start:stop, i].tolist(), d_blk.tolist()):
+                x = x + g * (yk - d * x)
+                lane.append(x)
+            th[start:stop, i] = lane
     hat = Trajectory(grid, th, "dt")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta)
 

@@ -257,24 +257,13 @@ def run_ftc_alert(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> F
     t_c = interval_excitation_time_delayed(
         delta, cfg.gamma, cfg.clip_threshold, cfg.delay_window
     )
-    hat = theta_hat.values
     active = np.zeros(theta_hat.grid.count, dtype=bool)
-    out = hat.copy()
+    out = theta_hat.values.copy()
     if t_c is not None:
         start = theta_hat.grid.index_of(t_c)
-        usable = 1.0 - wd.values > MIN_WINDOW_DEFICIT
-        active[start:] = usable[start:]
-        lag = _window_steps(delta, cfg.delay_window)
-        if cfg.use_delayed_snapshot:
-            snap = _delayed_snapshot(theta_hat, lag)
-        else:
-            snap = np.broadcast_to(hat[0], hat.shape)
-        sel = active
-        if hat.ndim == 1:
-            out[sel] = (hat[sel] - wd.values[sel] * snap[sel]) / (1.0 - wd.values[sel])
-        else:
-            wcol = wd.values[sel][:, None]
-            out[sel] = (hat[sel] - wcol * snap[sel]) / (1.0 - wcol)
+        active[start:] = 1.0 - wd.values[start:] > MIN_WINDOW_DEFICIT
+        estimate = ftc_alert_estimate(theta_hat, wd, cfg.delay_window, cfg.use_delayed_snapshot)
+        out[start:] = estimate.values[start:]
     return FtcRun(
         theta_ftc=theta_hat.with_values(out),
         w=w,

@@ -8,7 +8,10 @@ plus the transient-improving feedforward gain.
 The adjugate satisfies adj(M) M = M adj(M) = det(M) I for every square M,
 including singular ones, which is why it is computed by cofactors (m <= 4)
 or the Faddeev-LeVerrier recursion (m > 4) and never as inverse times
-determinant.
+determinant. Both run over the sample axis of a whole record at once: the
+cofactors from minors gathered with index tables, the recursion with
+stacked matrix products. The per-matrix :func:`adjugate` and
+:func:`determinant` are the same routine applied to a batch of one.
 """
 
 from __future__ import annotations
@@ -20,66 +23,75 @@ import numpy as np
 from .signals import Trajectory
 
 
-def _det2(M: np.ndarray) -> float:
-    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-
-
-def _det3(M: np.ndarray) -> float:
-    return (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
-
-
-def determinant(M: np.ndarray) -> float:
-    """Determinant by direct expansion for m <= 4, LU with partial pivoting
-    (LAPACK) above that."""
-    M = np.asarray(M, dtype=float)
-    m = _square_dim(M)
-    if m == 1:
-        return float(M[0, 0])
-    if m == 2:
-        return float(_det2(M))
-    if m == 3:
-        return float(_det3(M))
-    if m == 4:
-        total = 0.0
-        sign = 1.0
-        for j in range(4):
-            minor = np.delete(M[1:], j, axis=1)
-            total += sign * M[0, j] * _det3(minor)
-            sign = -sign
-        return float(total)
-    return float(np.linalg.det(M))
-
-
 def _square_dim(M: np.ndarray) -> int:
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return M.shape[0]
 
 
-def _adjugate_cofactor(M: np.ndarray) -> np.ndarray:
-    m = M.shape[0]
-    cof = np.empty_like(M)
-    for i in range(m):
-        for j in range(m):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            cof[i, j] = (-1.0) ** (i + j) * determinant(minor)
-    return cof.T
+# _KEEP[k][i] lists 0..k-1 without i: the rows (or columns) left when row
+# (or column) i of a k x k matrix is deleted
+_KEEP = {k: np.array([[j for j in range(k) if j != i] for i in range(k)]) for k in (2, 3, 4)}
 
 
-def _adjugate_faddeev_leverrier(M: np.ndarray) -> np.ndarray:
-    # M_1 = I, c_1 = -tr(A); M_k = A M_{k-1} + c_{k-1} I; c_k = -tr(A M_k)/k
-    # adj(A) = (-1)^(n-1) M_n
-    n = M.shape[0]
-    Mk = np.eye(n)
-    ck = -np.trace(M)
-    for k in range(2, n + 1):
-        Mk = M @ Mk + ck * np.eye(n)
-        ck = -np.trace(M @ Mk) / k
-    return (-1.0) ** (n - 1) * Mk
+def _cofactors(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Cofactors (-1)^(i+j) det(minor_ij) of a stack of k x k matrices,
+    2 <= k <= 4, for deleted rows i in ``rows`` and columns j in ``cols``
+    (index arrays broadcast against each other); the minors are gathered
+    with index tables."""
+    k = M.shape[-1]
+    keep = _KEEP[k]
+    flat = keep[rows][..., :, None] * k + keep[cols][..., None, :]
+    minors = np.take(M.reshape(M.shape[:-2] + (k * k,)), flat, axis=-1)
+    cof = _small_det(minors)  # for k = 2 a view into the fresh minors
+    cof *= 1.0 - 2.0 * ((rows + cols) % 2)
+    return cof
+
+
+def _first_row_expansion(M: np.ndarray, C0: np.ndarray) -> np.ndarray:
+    """sum_j M[0, j] C0[j], accumulated left to right."""
+    det = M[..., 0, 0] * C0[..., 0]
+    for j in range(1, M.shape[-1]):
+        det = det + M[..., 0, j] * C0[..., j]
+    return det
+
+
+def _small_det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of k x k matrices, k <= 4, by first-row
+    Laplace expansion."""
+    k = M.shape[-1]
+    if k == 1:
+        return M[..., 0, 0]
+    return _first_row_expansion(M, _cofactors(M, np.array(0), np.arange(k)))
+
+
+def _adj_det_batch(Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of a stack of m x m matrices, computed
+    for the whole stack at once.
+
+    m <= 4: adj[j, i] is the cofactor at (i, j), and the determinant is the
+    first-row expansion over those cofactors. m > 4: the Faddeev-LeVerrier
+    recursion
+
+        M_1 = I, c_1 = -tr(A);  M_k = A M_{k-1} + c_{k-1} I,
+        c_k = -tr(A M_k) / k;   adj(A) = (-1)^(m-1) M_m,
+
+    and the determinant by LU with partial pivoting (LAPACK).
+    """
+    m = Phis.shape[-1]
+    if m == 1:
+        return np.ones_like(Phis), Phis[..., 0, 0].copy()
+    if m <= 4:
+        idx = np.arange(m)
+        adj = _cofactors(Phis, idx[None, :], idx[:, None])
+        return adj, _first_row_expansion(Phis, adj[..., :, 0])
+    eye = np.eye(m)
+    Mk = np.broadcast_to(eye, Phis.shape).copy()
+    ck = -np.trace(Phis, axis1=-2, axis2=-1)
+    for k in range(2, m + 1):
+        Mk = Phis @ Mk + ck[..., None, None] * eye
+        ck = -np.trace(Phis @ Mk, axis1=-2, axis2=-1) / k
+    return (-1.0) ** (m - 1) * Mk, np.linalg.det(Phis)
 
 
 def adjugate(M: np.ndarray) -> np.ndarray:
@@ -88,39 +100,16 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     For m = 1 the adjugate is [1] so that adj(M) M = det(M) I still holds.
     """
     M = np.asarray(M, dtype=float)
-    m = _square_dim(M)
-    if m == 1:
-        return np.array([[1.0]])
-    if m == 2:
-        return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-    if m <= 4:
-        return _adjugate_cofactor(M)
-    return _adjugate_faddeev_leverrier(M)
+    _square_dim(M)
+    return _adj_det_batch(M[None])[0][0]
 
 
-def _adj_det_batch(Phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjugates and determinants over the leading sample axis.
-
-    The m = 1 and m = 2 cases are vectorized with the same formulas as the
-    per-matrix routines, so both paths agree bit for bit.
-    """
-    n, m, _ = Phis.shape
-    if m == 1:
-        return np.ones_like(Phis), Phis[:, 0, 0].copy()
-    if m == 2:
-        adj = np.empty_like(Phis)
-        adj[:, 0, 0] = Phis[:, 1, 1]
-        adj[:, 0, 1] = -Phis[:, 0, 1]
-        adj[:, 1, 0] = -Phis[:, 1, 0]
-        adj[:, 1, 1] = Phis[:, 0, 0]
-        det = Phis[:, 0, 0] * Phis[:, 1, 1] - Phis[:, 0, 1] * Phis[:, 1, 0]
-        return adj, det
-    adj = np.empty_like(Phis)
-    det = np.empty(n)
-    for k in range(n):
-        adj[k] = adjugate(Phis[k])
-        det[k] = determinant(Phis[k])
-    return adj, det
+def determinant(M: np.ndarray) -> float:
+    """Determinant by first-row expansion for m <= 4, LU with partial
+    pivoting (LAPACK) above that."""
+    M = np.asarray(M, dtype=float)
+    _square_dim(M)
+    return float(_adj_det_batch(M[None])[1][0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,12 @@ path of :func:`kre_ct` go through the same elementwise maps, so the two
 agree bit for bit. Discrete-time channels run the exact state recursion
 sample by sample. Signals are taken to vanish before time zero, so delayed
 taps read 0 until the delay window fills.
+
+Coefficients are tabulated once per record. A callable coefficient that
+offers an ``evaluate`` method (the named signals of
+:mod:`dremkit.scenarios`, the sampled columns of :func:`kre_as_drem_bank`)
+is evaluated on the whole time (or index) array at once; any other
+callable is called once per sample.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import affine_scan, rk4_affine
-from .signals import TimeGrid, Trajectory, SignalKind
+from .signals import SignalKind, TimeGrid, Trajectory, values_at
 
 Coefficient = float | Sequence | np.ndarray | Callable
 
@@ -44,14 +50,11 @@ def _coefficient_table(value: Coefficient, args: np.ndarray, shape: tuple) -> np
     """Evaluate a constant or callable coefficient at every sample argument.
 
     CT coefficients are functions of time in seconds, DT coefficients are
-    functions of the sample index.
+    functions of the sample index (see :func:`~dremkit.signals.values_at`).
     """
     n = len(args)
     if _is_callable(value):
-        out = np.empty((n,) + shape)
-        for k, a in enumerate(args):
-            out[k] = np.asarray(value(a), dtype=float).reshape(shape)
-        return out
+        return values_at(value, args).reshape((n,) + shape)
     const = np.asarray(value, dtype=float).reshape(shape)
     return np.broadcast_to(const, (n,) + shape).copy()
 
@@ -338,6 +341,25 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
     return Trajectory(grid, Z, "ct"), Trajectory(grid, Omega, "ct")
 
 
+@dataclass(frozen=True, eq=False)
+class _SampledColumn:
+    """A sampled signal read back as a function of time: the sample nearest
+    to t (ties to even), clamped to the record. Call it at one time, or at
+    an array of times with :meth:`evaluate`."""
+
+    column: np.ndarray
+    t0: float
+    step: float
+
+    def __call__(self, t: float) -> float:
+        k = int(round((t - self.t0) / self.step))
+        return float(self.column[min(max(k, 0), len(self.column) - 1)])
+
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        k = np.rint((np.asarray(times, float) - self.t0) / self.step)
+        return self.column[np.clip(k, 0, len(self.column) - 1).astype(np.intp)]
+
+
 def kre_as_drem_bank(phi: Trajectory, pole: float) -> OperatorBank:
     """Channel bank whose :func:`extend` output reproduces :func:`kre_ct`:
     channel i is the first-order filter x' = -pole*x + phi_i(t)*u, z = x."""
@@ -346,20 +368,11 @@ def kre_as_drem_bank(phi: Trajectory, pole: float) -> OperatorBank:
     if not pole > 0:
         raise ValueError("pole must be positive")
     grid = phi.grid
-    t0, h, count = grid.t0, grid.step, grid.count
-
-    def sample_lookup(column: np.ndarray) -> Callable[[float], float]:
-        def fn(t: float) -> float:
-            k = int(round((t - t0) / h))
-            return float(column[min(max(k, 0), count - 1)])
-
-        return fn
-
     channels = tuple(
         LtvChannelSpec(
             n=1,
             A=-pole,
-            b=sample_lookup(phi.values[:, i].copy()),
+            b=_SampledColumn(phi.values[:, i].copy(), grid.t0, grid.step),
             c=1.0,
             kind="ct",
         )

@@ -37,6 +37,7 @@ from .signals import (
     TimeGrid,
     Trajectory,
     sample_schedule,
+    values_at,
 )
 
 CONVERGENCE_TOL = 0.01
@@ -44,6 +45,9 @@ CONVERGENCE_TOL = 0.01
 
 @dataclass(frozen=True)
 class Sinusoid:
+    """amplitude * sin(frequency * t + phase); call it at one time, or at an
+    array of times with :meth:`evaluate`."""
+
     amplitude: float
     frequency: float  # rad/s
     phase: float = 0.0
@@ -51,13 +55,22 @@ class Sinusoid:
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.frequency * t + self.phase)
 
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.sin(self.frequency * np.asarray(times, float) + self.phase)
+
 
 @dataclass(frozen=True)
 class Constant:
+    """A constant level; call it at one time, or at an array of times with
+    :meth:`evaluate`."""
+
     level: float
 
     def __call__(self, t: float) -> float:
         return self.level
+
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), float(self.level))
 
 
 @dataclass(frozen=True)
@@ -91,8 +104,8 @@ def simulate_plant(spec: PlantSpec, grid: TimeGrid) -> tuple[Trajectory, Traject
     """RK4 simulation with the input evaluated analytically at half steps."""
     h = grid.step
     times = grid.times()
-    u = np.array([spec.input(float(t)) for t in times])
-    um = np.array([spec.input(float(t) + 0.5 * h) for t in times[:-1]])
+    u = values_at(spec.input, times)
+    um = values_at(spec.input, times[:-1] + 0.5 * h)
     a, b = spec.a, spec.b
     y = affine_scan(*rk4_affine(a, a, a, b * u[:-1], b * um, b * u[1:], h), spec.y0)
     return Trajectory(grid, u, "ct"), Trajectory(grid, y, "ct")

@@ -125,15 +125,24 @@ class Trajectory:
     __rmul__ = __mul__
 
 
+def values_at(fn: Callable, args: np.ndarray) -> np.ndarray:
+    """``fn`` at every entry of ``args``, stacked along a leading axis.
+
+    A callable with an ``evaluate`` method (the named signals of
+    :mod:`dremkit.scenarios`, the sampled columns of
+    :func:`dremkit.operators.kre_as_drem_bank`) is evaluated on the whole
+    array in one call; any other callable is called once per entry.
+    """
+    if hasattr(fn, "evaluate"):
+        return np.asarray(fn.evaluate(args), dtype=float)
+    return np.array([fn(a) for a in args], dtype=float)
+
+
 def sample_function(
     grid: TimeGrid, fn: Callable[[float], float | np.ndarray], kind: SignalKind = "ct"
 ) -> Trajectory:
     """Sample ``fn`` at every grid time. ``fn`` may return scalars or arrays."""
-    first = np.asarray(fn(float(grid.t0)), dtype=float)
-    out = np.empty((grid.count,) + first.shape)
-    for k, t in enumerate(grid.times()):
-        out[k] = fn(float(t))
-    return Trajectory(grid, out, kind)
+    return Trajectory(grid, values_at(fn, grid.times()), kind)
 
 
 def pointwise_outer(phi: Trajectory) -> Trajectory:

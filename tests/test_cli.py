@@ -6,12 +6,16 @@ import pytest
 from dremkit.cli import (
     FIGURE_IDS,
     ConfigError,
+    OutputWriter,
+    _estimator_csvs,
+    _ftc_csvs,
     main,
     read_csv,
     resolve_out_dir,
     write_csv,
 )
 from dremkit.ftc import ClipContractError
+from dremkit.scenarios import run_ftc_scenario, run_identification_scenario
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -171,6 +175,43 @@ class TestSimulate:
         assert "input_kind" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("plant", "plant.a", {"a": "fast"}),
+            ("plant", "plant.y0", {"y0": [1.0]}),
+            ("plant", "plant.input.amplitude", {"input": {"kind": "sinusoid", "amplitude": "big", "frequency": 1.0}}),
+            ("plant", "plant.input.level", {"input": {"kind": "constant", "level": None}}),
+            ("estimator", "estimator.gamma", {"gamma": "fast"}),
+            ("estimator", "estimator.theta_hat0", {"theta_hat0": ["zero", 0.0]}),
+            ("regressor", "regressor.pole", {"pole": "five"}),
+        ],
+    )
+    def test_non_numeric_custom_field_exits_1(self, tmp_path, capsys, section, field, value):
+        cfg = json.loads(json.dumps(CUSTOM_CFG))
+        cfg[section].update(value)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_non_numeric_channel_signal_exits_1(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(CUSTOM_CFG))
+        cfg["bank"]["channels"][0]["b"] = {"kind": "sinusoid", "amplitude": 1.0, "frequency": "slow"}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "b.frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", ["gamma", "clip_threshold", "delay_window", "theta_hat0"]
+    )
+    def test_non_numeric_ftc_field_exits_1(self, tmp_path, capsys, field):
+        cfg = json.loads(json.dumps(FTC_CFG))
+        cfg["ftc"][field] = "fast"
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert f"ftc.{field}" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DREMKIT_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, IDENTIFY_CFG)
@@ -264,6 +305,26 @@ class TestReproduce:
         assert data[:, 0].min() >= 9.0 - 1e-9
 
 
+    @pytest.mark.parametrize(
+        "figure_id, horizon", [("fig1", 20.0), ("ftc-pe-late", 40.0)]
+    )
+    def test_csv_bytes_match_the_direct_study_run(self, tmp_path, figure_id, horizon):
+        # the preset's grid comes from its config; the bytes equal a direct
+        # run of the study on the 1e-3 grid over the preset horizon
+        out = tmp_path / "fig"
+        assert main(["reproduce", figure_id, "--out", str(out)]) == 0
+        ref = OutputWriter(tmp_path / "ref")
+        if figure_id == "fig1":
+            _estimator_csvs(ref, run_identification_scenario("rich", horizon=horizon, step=1e-3))
+        else:
+            result = run_ftc_scenario("pe", horizon=horizon, step=1e-3)
+            _ftc_csvs(ref, result, t_range=(9.0, 40.0))
+        assert ref.entries
+        for entry in ref.entries:
+            name = entry["name"]
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 class TestCheckPe:
     def test_sincos_preset(self, tmp_path, capsys):
         cfg = write_config(
@@ -306,6 +367,22 @@ class TestCheckPe:
     def test_malformed_config_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"signal": {"kind": "mystery"}})
         assert main(["check-pe", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("threshold", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "threshold": "low"}),
+            ("window", {"signal": {"kind": "zero", "horizon": 1.0}, "window": "wide"}),
+            ("window", {"signal": {"kind": "zero", "domain": "dt", "horizon": 10.0}, "window": 2.5}),
+            ("signal.step", {"signal": {"kind": "zero", "horizon": 1.0, "step": "fine"}, "window": 0.5}),
+            ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": "two"}, "window": 0.5}),
+            ("signal.horizon", {"signal": {"kind": "counterexample", "horizon": "long"}}),
+            ("max_window", {"signal": {"kind": "counterexample", "horizon": 100}, "max_window": 1e400}),
+        ],
+    )
+    def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):
+        assert main(["check-pe", "--config", write_config(tmp_path, payload)]) == 1
+        assert repr(field) in capsys.readouterr().err
 
 
 def test_resolve_out_dir_priority(tmp_path, monkeypatch):

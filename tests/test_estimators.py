@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dremkit.estimators import (
+    _BLOCK,
     GradientConfig,
     closed_form_error_ct,
     closed_form_error_dt,
@@ -298,3 +299,62 @@ class TestClosedForms:
         crossed = energy >= -np.log(eps) / gamma
         if crossed.any():
             assert np.all(np.abs(env.values[crossed]) <= eps * (1 + 1e-12))
+
+
+# Copies of the per-sample DT loops that the block-wise recursions replaced.
+
+
+def old_dt_gradient(yv, pv, g, x0):
+    th = np.empty((len(yv), pv.shape[1]))
+    x = np.asarray(x0, float).copy()
+    th[0] = x
+    for k in range(1, len(yv)):
+        p = pv[k]
+        x = x + p / (g + p @ p) * (yv[k] - p @ x)
+        th[k] = x
+    return th
+
+
+def old_drem_dt(D, Yc, gamma, x0):
+    th = np.empty(Yc.shape)
+    x = np.asarray(x0, float).copy()
+    th[0] = x
+    for k in range(1, len(D)):
+        d = D[k]
+        x = x + d / (gamma + d * d) * (Yc[k] - d * x)
+        th[k] = x
+    return th
+
+
+# record lengths around the block size, including records longer than one block
+COUNTS = [1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]
+
+
+class TestDtRecursionsMatchOldLoops:
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_drem_dt_bit_for_bit(self, count, rng):
+        grid = TimeGrid(0.0, 1.0, count)
+        D = rng.uniform(-2.0, 2.0, count)
+        Yc = D[:, None] * np.array([0.7, -1.5, 3.0]) + 0.1 * rng.normal(size=(count, 3))
+        gamma = np.array([1.0, 0.3, 4.0])
+        x0 = np.array([1.0, 2.0, -0.5])
+        mixed = MixedRegression(Trajectory(grid, Yc, "dt"), Trajectory(grid, D, "dt"))
+        run = drem_dt(mixed, GradientConfig(gamma, x0))
+        np.testing.assert_array_equal(run.theta_hat.values, old_drem_dt(D, Yc, gamma, x0))
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_dt_gradient_to_rounding(self, count, rng):
+        # the loop's BLAS dot products and the recursion's sequential sums
+        # round differently, so agreement is to 1e-12 relative, not bit for bit
+        grid = TimeGrid(0.0, 1.0, count)
+        pv = rng.uniform(-2.0, 2.0, (count, 3))
+        yv = pv @ np.array([0.5, -1.0, 2.0]) + 0.05 * rng.normal(size=count)
+        x0 = np.array([-1.0, 0.5, 3.0])
+        run = dt_gradient(
+            Trajectory(grid, yv, "dt"), Trajectory(grid, pv, "dt"), GradientConfig(1.3, x0)
+        )
+        ref = old_dt_gradient(yv, pv, 1.3, x0)
+        np.testing.assert_allclose(
+            run.theta_hat.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max()
+        )
+        np.testing.assert_array_equal(run.diagnostics.values, np.einsum("ki,ki->k", pv, pv))

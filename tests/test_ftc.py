@@ -3,6 +3,7 @@ import pytest
 
 from dremkit.estimators import GradientConfig, closed_form_error_ct, drem_ct
 from dremkit.ftc import (
+    MIN_WINDOW_DEFICIT,
     ClipContractError,
     FtcConfig,
     clip_w,
@@ -16,6 +17,7 @@ from dremkit.ftc import (
     update_w_delayed,
 )
 from dremkit.mixing import MixedRegression
+from dremkit.scenarios import run_ftc_scenario
 from dremkit.signals import TimeGrid, Trajectory
 
 
@@ -329,3 +331,38 @@ class TestPipelines:
         assert np.abs(alert.theta_ftc.values[settle] - 15.0).max() <= 1e-3
         tail = t >= 12.0
         assert np.abs(plain.theta_ftc.values[tail] - hat.values[tail]).max() <= 1e-3
+
+
+def old_alert_recovery(theta_hat, wd, t_c, cfg):
+    """Copy of the recovery body run_ftc_alert had before it called
+    ftc_alert_estimate: (theta_ftc, active)."""
+    hat = theta_hat.values
+    active = np.zeros(theta_hat.grid.count, dtype=bool)
+    out = hat.copy()
+    if t_c is not None:
+        start = theta_hat.grid.index_of(t_c)
+        usable = 1.0 - wd > MIN_WINDOW_DEFICIT
+        active[start:] = usable[start:]
+        lag = int(round(cfg.delay_window / theta_hat.grid.step))
+        if cfg.use_delayed_snapshot:
+            snap = np.empty_like(hat)
+            snap[:lag] = hat[0]
+            snap[lag:] = hat[:-lag]
+        else:
+            snap = np.broadcast_to(hat[0], hat.shape)
+        sel = active
+        out[sel] = (hat[sel] - wd[sel] * snap[sel]) / (1.0 - wd[sel])
+    return out, active
+
+
+@pytest.mark.parametrize("kind", ["pe", "nonpe"])
+@pytest.mark.parametrize("snapshot", [True, False])
+def test_alert_pipeline_matches_old_recovery_body(kind, snapshot):
+    result = run_ftc_scenario(kind, use_delayed_snapshot=snapshot)
+    alert = result.ftc_runs["ftc_d"]
+    hat = Trajectory(result.grid, result.runs["gradient"].theta_hat.values[:, 0], "ct")
+    cfg = FtcConfig(gamma=2.0, delay_window=0.2, use_delayed_snapshot=snapshot)
+    out, active = old_alert_recovery(hat, alert.w_delayed.values, alert.t_c, cfg)
+    assert alert.t_c is not None
+    np.testing.assert_array_equal(alert.theta_ftc.values, out)
+    np.testing.assert_array_equal(alert.active, active)

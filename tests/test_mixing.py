@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dremkit.mixing import (
     MixedRegression,
+    _adj_det_batch,
     adjugate,
     determinant,
     extend_with_feedforward,
@@ -26,6 +27,85 @@ def oracle_adjugate(M):
             minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
             C[i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
     return C.T
+
+
+# Copies of the per-matrix routines that the batched adjugate replaced. They
+# are the reference for the batched path: equal values at m <= 4, where the
+# cofactor expressions are the same, and rounding-level agreement at m >= 5.
+
+
+def old_det2(M):
+    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+
+
+def old_det3(M):
+    return (
+        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+    )
+
+
+def old_determinant(M):
+    m = M.shape[0]
+    if m == 1:
+        return float(M[0, 0])
+    if m == 2:
+        return float(old_det2(M))
+    if m == 3:
+        return float(old_det3(M))
+    if m == 4:
+        total = 0.0
+        sign = 1.0
+        for j in range(4):
+            minor = np.delete(M[1:], j, axis=1)
+            total += sign * M[0, j] * old_det3(minor)
+            sign = -sign
+        return float(total)
+    return float(np.linalg.det(M))
+
+
+def old_adjugate(M):
+    m = M.shape[0]
+    if m == 1:
+        return np.array([[1.0]])
+    if m == 2:
+        return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
+    if m <= 4:
+        cof = np.empty_like(M)
+        for i in range(m):
+            for j in range(m):
+                minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
+                cof[i, j] = (-1.0) ** (i + j) * old_determinant(minor)
+        return cof.T
+    Mk = np.eye(m)
+    ck = -np.trace(M)
+    for k in range(2, m + 1):
+        Mk = M @ Mk + ck * np.eye(m)
+        ck = -np.trace(M @ Mk) / k
+    return (-1.0) ** (m - 1) * Mk
+
+
+def matrix_stack(m, kind, seed, exponent):
+    """A stack of m x m matrices of one kind: "random" entries in [-1, 1],
+    "rank_deficient" (a repeated row, a zero column and rank-one members),
+    "near_singular" (a row perturbed off a combination of the others by
+    10^exponent) or "badly_scaled" (rows and columns scaled by powers of ten
+    spanning 10^-exponent..10^exponent)."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.0, 1.0, (12, m, m))
+    if kind == "rank_deficient" and m >= 2:
+        M[:4, 1] = M[:4, 0]
+        M[4:8, :, -1] = 0.0
+        M[8:] = np.einsum("ki,kj->kij", rng.uniform(-1, 1, (4, m)), rng.uniform(-1, 1, (4, m)))
+    elif kind == "near_singular" and m >= 2:
+        mix_rows = np.einsum("ki,kij->kj", rng.uniform(-1, 1, (12, m - 1)), M[:, :-1])
+        M[:, -1] = mix_rows + 10.0 ** -exponent * rng.uniform(-1, 1, (12, m))
+    elif kind == "badly_scaled":
+        rows = 10.0 ** rng.uniform(-exponent, exponent, (12, m, 1))
+        cols = 10.0 ** rng.uniform(-exponent, exponent, (12, 1, m))
+        M = rows * M * cols
+    return M
 
 
 class TestAdjugate:
@@ -86,6 +166,85 @@ class TestAdjugate:
             assert resid <= 1e-9 * (1.0 + abs(det))
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+MATRIX_KINDS = ["random", "rank_deficient", "near_singular", "badly_scaled"]
+
+
+class TestBatchedAdjugate:
+    """The batched adjugate is the only implementation; the per-matrix
+    functions wrap a batch of one."""
+
+    @given(
+        m=st.integers(1, 6),
+        kind=st.sampled_from(MATRIX_KINDS),
+        seed=st.integers(0, 2**31 - 1),
+        exponent=st.integers(0, 12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_identity_property(self, m, kind, seed, exponent):
+        # adj(M) M = M adj(M) = det(M) I, to rounding relative to |M|_F^m,
+        # which bounds every term of every entry of both products
+        Ms = matrix_stack(m, kind, seed, exponent)
+        adj, det = _adj_det_batch(Ms)
+        eye = np.eye(m)
+        for M, A, d in zip(Ms, adj, det):
+            scale = max(np.linalg.norm(M) ** m, np.finfo(float).tiny)
+            assert np.abs(A @ M - d * eye).max() <= 1e-12 * scale
+            assert np.abs(M @ A - d * eye).max() <= 1e-12 * scale
+
+    @given(
+        m=st.integers(1, 6),
+        kind=st.sampled_from(MATRIX_KINDS),
+        seed=st.integers(0, 2**31 - 1),
+        exponent=st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wrappers_are_the_batch(self, m, kind, seed, exponent):
+        Ms = matrix_stack(m, kind, seed, exponent)
+        adj, det = _adj_det_batch(Ms)
+        for k, M in enumerate(Ms):
+            assert_same_bits(adjugate(M), adj[k])
+            assert_same_bits(determinant(M), det[k])
+
+    @given(
+        m=st.integers(1, 6),
+        kind=st.sampled_from(MATRIX_KINDS),
+        seed=st.integers(0, 2**31 - 1),
+        exponent=st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_old_per_matrix_routines(self, m, kind, seed, exponent):
+        Ms = matrix_stack(m, kind, seed, exponent)
+        adj, det = _adj_det_batch(Ms)
+        old_adj = np.array([old_adjugate(M) for M in Ms])
+        old_det = np.array([old_determinant(M) for M in Ms])
+        if m <= 4:
+            np.testing.assert_array_equal(adj, old_adj)
+            np.testing.assert_array_equal(det, old_det)
+        else:
+            np.testing.assert_allclose(adj, old_adj, rtol=0, atol=1e-12 * np.abs(old_adj).max())
+            np.testing.assert_allclose(det, old_det, rtol=0, atol=1e-12 * np.abs(old_det).max())
+
+    def test_mix_at_m3_matches_old_per_sample_mixing(self, rng):
+        n = 40
+        Phi = rng.normal(size=(n, 3, 3))
+        Y = rng.normal(size=(n, 3))
+        mixed = mix(matrix_traj(Y).with_values(Y), matrix_traj(Phi))
+        old_adj = np.array([old_adjugate(M) for M in Phi])
+        np.testing.assert_array_equal(mixed.calY.values, np.einsum("kij,kj->ki", old_adj, Y))
+        np.testing.assert_array_equal(mixed.Delta.values, [old_determinant(M) for M in Phi])
+
+    def test_empty_stack(self):
+        for m in (1, 3, 5):
+            adj, det = _adj_det_batch(np.zeros((0, m, m)))
+            assert adj.shape == (0, m, m) and det.shape == (0,)
+
+
 class TestDeterminant:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_matches_lapack(self, m, rng):
@@ -139,8 +298,8 @@ class TestMix:
         Y = rng.normal(size=(n, 2))
         mixed = mix(matrix_traj(Y).with_values(Y), matrix_traj(Phi))
         for k in range(n):
-            # matvec rounding may differ by an ulp between the batched and
-            # per-sample paths; the determinant formula is shared and exact
+            # the einsum matvec in mix and the @ of this check may round
+            # differently by an ulp; the determinant is the same computation
             np.testing.assert_allclose(
                 mixed.calY.values[k], adjugate(Phi[k]) @ Y[k], rtol=1e-14, atol=0
             )

@@ -8,6 +8,7 @@ from dremkit.operators import (
     LtvChannelSpec,
     OperatorBank,
     SlidingWindowSpec,
+    _coefficient_table,
     apply_channel_ct,
     apply_channel_dt,
     channel_gain_bound,
@@ -16,6 +17,7 @@ from dremkit.operators import (
     kre_ct,
     sliding_window_phi,
 )
+from dremkit.scenarios import Constant, Sinusoid
 from dremkit.signals import TimeGrid, Trajectory
 
 
@@ -295,3 +297,39 @@ class TestKre:
         Yb, Phib = extend(kre_as_drem_bank(phi, 1.0), y, phi)
         assert np.abs(Omega.values - Phib.values).max() <= 1e-6
         assert np.abs(Z.values - Yb.values).max() <= 1e-6
+
+
+class TestArrayEvaluatedCoefficients:
+    """Callables with an ``evaluate`` method are tabulated in one call; the
+    table equals the per-sample calls bit for bit."""
+
+    @given(
+        t0=st.floats(-5.0, 5.0),
+        step=st.floats(1e-4, 0.5),
+        count=st.integers(1, 50),
+        queries=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+    )
+    def test_sampled_column_lookup(self, t0, step, count, queries):
+        bank = kre_as_drem_bank(
+            Trajectory(TimeGrid(t0, step, count), np.arange(count, dtype=float)[:, None], "ct"),
+            pole=1.0,
+        )
+        column = bank.channels[0].b
+        # off-grid times, times outside the record and exact half steps (ties)
+        times = np.array(queries + [t0 + (k + 0.5) * step for k in range(-1, count + 1)])
+        np.testing.assert_array_equal(column.evaluate(times), [column(t) for t in times])
+
+    @pytest.mark.parametrize(
+        "signal", [Sinusoid(2.0, 3.1, 0.4), Sinusoid(-15.0, 2.5, 1.0), Constant(15), Constant(-0.25)]
+    )
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_named_signal_table(self, signal, shape):
+        times = TimeGrid.from_horizon(20.0, 1e-3).times()
+        table = _coefficient_table(signal, times, shape)
+        assert table.shape == (len(times),) + shape
+        np.testing.assert_array_equal(table.reshape(-1), [signal(t) for t in times])
+
+    def test_named_signal_of_the_sample_index(self):
+        ks = np.arange(500)
+        signal = Sinusoid(1.5, 0.3, -0.2)
+        np.testing.assert_array_equal(_coefficient_table(signal, ks, ()), [signal(k) for k in ks])

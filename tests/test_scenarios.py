@@ -17,6 +17,18 @@ from dremkit.signals import TimeGrid, Trajectory
 
 
 class TestSimulatePlant:
+    @pytest.mark.parametrize("drive", [Sinusoid(15.0, 2.5, 1.0), Constant(15.0)])
+    def test_named_input_matches_a_plain_callable(self, drive):
+        # a named signal is evaluated on the whole grid at once, a plain
+        # callable once per sample; the trajectories agree bit for bit
+        grid = TimeGrid.from_horizon(5.0, 1e-3)
+        u, y = simulate_plant(PlantSpec(a=-0.4, b=0.4, y0=0.3, input=drive), grid)
+        u_ref, y_ref = simulate_plant(
+            PlantSpec(a=-0.4, b=0.4, y0=0.3, input=lambda t: drive(t)), grid
+        )
+        np.testing.assert_array_equal(u.values, u_ref.values)
+        np.testing.assert_array_equal(y.values, y_ref.values)
+
     def test_pure_integrator(self):
         grid = TimeGrid.from_horizon(2.0, 1e-3)
         u, y = simulate_plant(PlantSpec(a=0.0, b=1.0, input=Constant(1.0)), grid)
