@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dremkit.cli import OutputWriter, _ftc_csvs, _summary_text
+from dremkit.cli import OutputWriter, write_result
 from dremkit.scenarios import run_ftc_scenario
 
 
@@ -29,8 +29,7 @@ def main() -> None:
         result = run_ftc_scenario(kind, horizon=args.horizon, step=args.step)
         out = Path(args.out) / kind
         writer = OutputWriter(out)
-        _ftc_csvs(writer, result)
-        writer.text("summary.txt", _summary_text(result))
+        write_result(writer, result)
         writer.manifest({"delta_kind": kind, "horizon": args.horizon, "step": args.step})
 
         t = result.grid.times()

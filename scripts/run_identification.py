@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dremkit.cli import OutputWriter, _estimator_csvs, _summary_text
+from dremkit.cli import OutputWriter, write_result
 from dremkit.scenarios import run_identification_scenario
 
 
@@ -28,8 +28,7 @@ def main() -> None:
         result = run_identification_scenario(kind, horizon=args.horizon, step=args.step)
         out = Path(args.out) / kind
         writer = OutputWriter(out)
-        _estimator_csvs(writer, result)
-        writer.text("summary.txt", _summary_text(result))
+        write_result(writer, result)
         writer.manifest({"input_kind": kind, "horizon": args.horizon, "step": args.step})
         print(f"== {kind} input ==")
         for name, run in result.runs.items():

@@ -1,7 +1,13 @@
 """Command line front end: JSON scenario configs in, CSV time series and a
 run manifest out.
 
-Exit codes: 0 = ran to completion, 1 = configuration error, 2 = runtime
+``simulate`` and ``reproduce`` share one path: ``_run_study`` runs the
+study a config describes, and ``write_result`` writes one CSV per run plus
+``summary.txt``; a preset only supplies its config and the rows it keeps.
+Scripts call ``write_result`` on their own study runs.
+
+Exit codes: 0 = ran to completion, 1 = configuration error (a malformed
+field, or a value the library rejects with ValueError), 2 = runtime
 numerical failure. Output locations resolve as --out flag, then the config's
 "out_dir", then the DREMKIT_OUT_DIR environment variable.
 
@@ -12,7 +18,6 @@ doubles exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -37,7 +42,15 @@ from .scenarios import (
 from .signals import TimeGrid, Trajectory
 
 ENV_OUT_DIR = "DREMKIT_OUT_DIR"
-FIGURE_IDS = ("fig1", "fig2", "ftc-pe-early", "ftc-pe-late", "ftc-nonpe")
+# figure id: (study fields, horizon in s, rows kept as (start, stop) or None)
+PRESETS = {
+    "fig1": ({"mode": "identify", "input_kind": "rich"}, 20.0, None),
+    "fig2": ({"mode": "identify", "input_kind": "constant"}, 20.0, None),
+    "ftc-pe-early": ({"mode": "ftc", "delta_kind": "pe"}, 40.0, (0.0, 3.0)),
+    "ftc-pe-late": ({"mode": "ftc", "delta_kind": "pe"}, 40.0, (9.0, 40.0)),
+    "ftc-nonpe": ({"mode": "ftc", "delta_kind": "nonpe"}, 40.0, None),
+}
+FIGURE_IDS = tuple(PRESETS)
 FLOAT_FMT = "%.17g"
 
 
@@ -49,12 +62,22 @@ def _fail(field: str, message: str) -> ConfigError:
     return ConfigError(f"config field {field!r}: {message}")
 
 
-def _get(cfg: dict, field: str, required: bool = True, default=None):
+def _get(cfg: dict, field: str, required: bool = True):
     if field in cfg:
         return cfg[field]
     if required:
         raise _fail(field, "missing")
-    return default
+    return None
+
+
+def _section(cfg: dict, name: str, required: bool = True) -> dict | None:
+    """A config object; an optional section that is absent or null is None."""
+    value = _get(cfg, name, required)
+    if value is None and not required:
+        return None
+    if not isinstance(value, dict):
+        raise _fail(name, f"expected an object, got {value!r}")
+    return value
 
 
 def named_signal(spec, field: str) -> Sinusoid | Constant:
@@ -62,6 +85,8 @@ def named_signal(spec, field: str) -> Sinusoid | Constant:
     names the entry in error messages."""
     if isinstance(spec, (int, float)):
         return Constant(float(spec))
+    if not isinstance(spec, dict):
+        raise _fail(field, f"expected a number or a signal object, got {spec!r}")
     kind = _get(spec, "kind")
     if kind == "constant":
         return Constant(_number(_get(spec, "level"), f"{field}.level"))
@@ -84,8 +109,13 @@ def _channel_entry(value, field: str):
 
 
 def parse_bank(cfg: dict) -> OperatorBank:
+    entries = _get(cfg, "channels")
+    if not isinstance(entries, list):
+        raise _fail("bank.channels", f"expected a list of objects, got {entries!r}")
     channels = []
-    for i, ch in enumerate(_get(cfg, "channels")):
+    for i, ch in enumerate(entries):
+        if not isinstance(ch, dict):
+            raise _fail(f"bank.channels[{i}]", f"expected an object, got {ch!r}")
         try:
             channels.append(
                 LtvChannelSpec(
@@ -118,6 +148,13 @@ def _numbers(value, field: str) -> np.ndarray:
         raise _fail(field, f"expected a list of numbers, got {value!r}") from None
 
 
+def _positive(value, field: str) -> float:
+    number = _number(value, field)
+    if not number > 0:
+        raise _fail(field, f"must be positive, got {value!r}")
+    return number
+
+
 def _integer(value, field: str) -> int:
     number = _number(value, field)
     if not number.is_integer():
@@ -126,7 +163,7 @@ def _integer(value, field: str) -> int:
 
 
 def parse_grid(cfg: dict) -> tuple[float, float]:
-    grid = _get(cfg, "grid")
+    grid = _section(cfg, "grid")
     step = _number(_get(grid, "step"), "grid.step")
     horizon = _number(_get(grid, "horizon"), "grid.horizon")
     if step <= 0:
@@ -169,25 +206,21 @@ def resolve_out_dir(flag_value: str | None, cfg: dict | None) -> Path:
 
 
 def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
-    rows = len(arrays[0])
-    for arr in arrays:
-        if len(arr) != rows:
-            raise ValueError("column length mismatch")
+    """One header line, then one row per sample; CRLF line endings."""
+    table = np.column_stack(arrays)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for k in range(rows):
-            writer.writerow([FLOAT_FMT % arr[k] for arr in arrays])
-    return rows
+        np.savetxt(
+            fh, table, fmt=FLOAT_FMT, delimiter=",", header=",".join(columns),
+            comments="", newline="\r\n",
+        )
+    return len(table)
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Read back an emitted CSV; values reproduce the written doubles exactly."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = [[float(v) for v in row] for row in reader]
-    return header, np.array(data).reshape(-1, len(header))
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
 
 
 class OutputWriter:
@@ -224,56 +257,97 @@ class OutputWriter:
         (self.out_dir / "manifest.json").write_text(json.dumps(payload, indent=2))
 
 
-def _estimator_csvs(writer: OutputWriter, result: ScenarioResult) -> None:
+def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> None:
+    """Write one CSV per run of ``result`` and a ``summary.txt``.
+
+    Columns are ``t``, ``theta_hat_1..m``, ``theta_tilde_1..m`` and the run's
+    excitation: ``phi_norm_sq`` for the identification study's vector
+    gradient run, ``delta`` for every other run. Recovery runs add ``w``,
+    ``w_clipped`` and, when present, ``w_delayed``. ``t_range = (start,
+    stop)`` keeps only the rows with start <= t <= stop.
+    """
     times = result.grid.times()
+    rows = slice(None) if t_range is None else (times >= t_range[0]) & (times <= t_range[1])
+    summary = ["run, convergence_time_s, final_abs_errors"]
     for name, run in result.runs.items():
-        aux_name = "phi_norm_sq" if name == "gradient" else "delta"
-        hat = np.atleast_2d(run.theta_hat.values.T).T
-        tilde = np.atleast_2d(run.theta_tilde.values.T).T
+        hat = run.theta_hat.values.reshape(len(times), -1)
+        tilde = run.theta_tilde.values.reshape(len(times), -1)
         m = hat.shape[1]
-        columns = (
-            ["t"]
-            + [f"theta_hat_{i+1}" for i in range(m)]
-            + [f"theta_tilde_{i+1}" for i in range(m)]
-            + [aux_name]
-        )
-        arrays = (
-            [times]
-            + [hat[:, i] for i in range(m)]
-            + [tilde[:, i] for i in range(m)]
-            + [np.asarray(run.diagnostics.values)]
-        )
-        writer.csv(f"{name}.csv", columns, arrays)
-
-
-def _ftc_csvs(writer: OutputWriter, result: ScenarioResult, t_range=None) -> None:
-    times = result.grid.times()
-    mask = np.ones(len(times), dtype=bool)
-    if t_range is not None:
-        mask = (times >= t_range[0]) & (times <= t_range[1])
-    for name, run in result.runs.items():
-        hat = run.theta_hat.values[:, 0]
-        tilde = run.theta_tilde.values[:, 0]
-        columns = ["t", "theta_hat_1", "theta_tilde_1", "delta"]
-        arrays = [times[mask], hat[mask], tilde[mask], result.runs["gradient"].diagnostics.values[mask]]
+        # the tracking study's "gradient" run is the scalar estimator on Delta
+        vector_run = name == "gradient" and not result.ftc_runs
+        columns = [
+            "t",
+            *(f"theta_hat_{i+1}" for i in range(m)),
+            *(f"theta_tilde_{i+1}" for i in range(m)),
+            "phi_norm_sq" if vector_run else "delta",
+        ]
+        arrays = [times, *hat.T, *tilde.T, run.diagnostics.values]
         ftc = result.ftc_runs.get(name)
         if ftc is not None:
             columns += ["w", "w_clipped"]
-            arrays += [ftc.w.values[mask], ftc.w_clipped.values[mask]]
+            arrays += [ftc.w.values, ftc.w_clipped.values]
             if ftc.w_delayed is not None:
                 columns.append("w_delayed")
-                arrays.append(ftc.w_delayed.values[mask])
-        writer.csv(f"{name}.csv", columns, arrays)
+                arrays.append(ftc.w_delayed.values)
+        writer.csv(f"{name}.csv", columns, [a[rows] for a in arrays])
 
-
-def _summary_text(result: ScenarioResult) -> str:
-    lines = ["run, convergence_time_s, final_abs_errors"]
-    for name in result.runs:
         tc = result.convergence_times.get(name)
-        errs = result.final_errors.get(name)
-        err_txt = " ".join(FLOAT_FMT % e for e in np.atleast_1d(errs))
-        lines.append(f"{name}, {'none' if tc is None else FLOAT_FMT % tc}, {err_txt}")
-    return "\n".join(lines) + "\n"
+        errs = " ".join(FLOAT_FMT % e for e in np.atleast_1d(result.final_errors.get(name)))
+        summary.append(f"{name}, {'none' if tc is None else FLOAT_FMT % tc}, {errs}")
+    writer.text("summary.txt", "\n".join(summary) + "\n")
+
+
+def _run_study(cfg: dict) -> ScenarioResult:
+    """Run the identify, custom or ftc study that ``cfg`` describes."""
+    mode = _get(cfg, "mode")
+    if mode not in ("identify", "custom", "ftc"):
+        raise _fail("mode", f"unknown mode {mode!r}")
+    horizon, step = parse_grid(cfg)
+    if mode == "ftc":
+        ftc_cfg = _section(cfg, "ftc", required=False) or {}
+        snapshot = ftc_cfg.get("use_delayed_snapshot", True)
+        if not isinstance(snapshot, bool):
+            raise _fail("ftc.use_delayed_snapshot", f"expected true or false, got {snapshot!r}")
+        return run_ftc_scenario(
+            delta_kind=_get(cfg, "delta_kind"),
+            horizon=horizon,
+            step=step,
+            gamma=_positive(ftc_cfg.get("gamma", 2.0), "ftc.gamma"),
+            clip_threshold=_number(ftc_cfg.get("clip_threshold", 0.98), "ftc.clip_threshold"),
+            delay_window=_number(ftc_cfg.get("delay_window", 0.2), "ftc.delay_window"),
+            theta_hat0=_number(ftc_cfg.get("theta_hat0", 0.0), "ftc.theta_hat0"),
+            use_delayed_snapshot=snapshot,
+        )
+    required = mode == "custom"
+    plant_cfg = _section(cfg, "plant", required)
+    plant = None
+    if plant_cfg is not None:
+        if "input_kind" in cfg:
+            raise _fail("input_kind", "conflicts with 'plant', which sets its own input")
+        plant = PlantSpec(
+            a=_number(_get(plant_cfg, "a"), "plant.a"),
+            b=_number(_get(plant_cfg, "b"), "plant.b"),
+            y0=_number(plant_cfg.get("y0", 0.0), "plant.y0"),
+            input=named_signal(_get(plant_cfg, "input"), "plant.input"),
+        )
+    reg_cfg = _section(cfg, "regressor", required)
+    regressor = (
+        RegressorSpec(pole=_positive(_get(reg_cfg, "pole"), "regressor.pole"))
+        if reg_cfg
+        else None
+    )
+    bank_cfg = _section(cfg, "bank", required)
+    est = _section(cfg, "estimator", required) or {}
+    return run_identification_scenario(
+        input_kind=cfg.get("input_kind", "rich"),
+        horizon=horizon,
+        step=step,
+        gamma=_positive(est.get("gamma", 1.0), "estimator.gamma"),
+        theta_hat0=_numbers(est.get("theta_hat0", [0.0, 0.0]), "estimator.theta_hat0"),
+        plant=plant,
+        regressor=regressor,
+        bank=parse_bank(bank_cfg) if bank_cfg else None,
+    )
 
 
 def cmd_simulate(config_path: str, out_dir: str | None) -> int:
@@ -281,75 +355,20 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     out = resolve_out_dir(out_dir, cfg)
     mode = _get(cfg, "mode")
     writer = OutputWriter(out)
-    if mode in ("identify", "custom"):
-        required = mode == "custom"
-        horizon, step = parse_grid(cfg)
-        plant_cfg = _get(cfg, "plant", required=required, default=None)
-        plant = None
-        if plant_cfg is not None:
-            if "input_kind" in cfg:
-                raise _fail("input_kind", "conflicts with 'plant', which sets its own input")
-            plant = PlantSpec(
-                a=_number(_get(plant_cfg, "a"), "plant.a"),
-                b=_number(_get(plant_cfg, "b"), "plant.b"),
-                y0=_number(plant_cfg.get("y0", 0.0), "plant.y0"),
-                input=named_signal(_get(plant_cfg, "input"), "plant.input"),
-            )
-        reg_cfg = _get(cfg, "regressor", required=required, default=None)
-        regressor = (
-            RegressorSpec(pole=_number(_get(reg_cfg, "pole"), "regressor.pole"))
-            if reg_cfg
-            else None
-        )
-        bank_cfg = _get(cfg, "bank", required=required, default=None)
-        bank = parse_bank(bank_cfg) if bank_cfg else None
-        est = _get(cfg, "estimator", required=required, default={}) or {}
-        result = run_identification_scenario(
-            input_kind=cfg.get("input_kind", "rich"),
-            horizon=horizon,
-            step=step,
-            gamma=_number(est.get("gamma", 1.0), "estimator.gamma"),
-            theta_hat0=_numbers(est.get("theta_hat0", [0.0, 0.0]), "estimator.theta_hat0"),
-            plant=plant,
-            regressor=regressor,
-            bank=bank,
-        )
-        _estimator_csvs(writer, result)
-        writer.text("summary.txt", _summary_text(result))
-    elif mode == "ftc":
-        horizon, step = parse_grid(cfg)
-        ftc_cfg = _get(cfg, "ftc", required=False, default={}) or {}
-        result = run_ftc_scenario(
-            delta_kind=_get(cfg, "delta_kind"),
-            horizon=horizon,
-            step=step,
-            gamma=_number(ftc_cfg.get("gamma", 2.0), "ftc.gamma"),
-            clip_threshold=_number(ftc_cfg.get("clip_threshold", 0.98), "ftc.clip_threshold"),
-            delay_window=_number(ftc_cfg.get("delay_window", 0.2), "ftc.delay_window"),
-            theta_hat0=_number(ftc_cfg.get("theta_hat0", 0.0), "ftc.theta_hat0"),
-            use_delayed_snapshot=bool(ftc_cfg.get("use_delayed_snapshot", True)),
-        )
-        _ftc_csvs(writer, result)
-        writer.text("summary.txt", _summary_text(result))
-    elif mode == "pe-check":
+    if mode == "pe-check":
         report_text = _pe_check_text(cfg)
         writer.text("pe_report.txt", report_text)
         print(report_text, end="")
     else:
-        raise _fail("mode", f"unknown mode {mode!r}")
+        write_result(writer, _run_study(cfg))
     writer.manifest(cfg)
     return 0
 
 
 def _pe_signal(cfg: dict) -> Trajectory:
-    sig = _get(cfg, "signal")
+    sig = _section(cfg, "signal")
     kind = _get(sig, "kind")
     domain = sig.get("domain", "ct")
-    if kind == "counterexample":
-        horizon = _integer(sig.get("horizon", 100_000), "signal.horizon")
-        grid = TimeGrid(0.0, 1.0, horizon)
-        k = np.arange(horizon)
-        return Trajectory(grid, (k + 1.0) ** -0.25, "dt")
     if kind == "zero":
         from .signals import DEFAULT_DT_STEP
 
@@ -370,7 +389,7 @@ def _pe_signal(cfg: dict) -> Trajectory:
 
 
 def _pe_check_text(cfg: dict) -> str:
-    sig_kind = _get(_get(cfg, "signal"), "kind")
+    sig_kind = _get(_section(cfg, "signal"), "kind")
     threshold = _number(cfg.get("threshold", 1e-3), "threshold")
     if sig_kind == "counterexample":
         horizon = _integer(cfg["signal"].get("horizon", 100_000), "signal.horizon")
@@ -418,24 +437,8 @@ def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
 
 
 def _reproduce_config(figure_id: str) -> dict:
-    if figure_id == "fig1":
-        return {
-            "mode": "identify",
-            "input_kind": "rich",
-            "grid": {"t0": 0.0, "step": 1e-3, "horizon": 20.0},
-        }
-    if figure_id == "fig2":
-        return {
-            "mode": "identify",
-            "input_kind": "constant",
-            "grid": {"t0": 0.0, "step": 1e-3, "horizon": 20.0},
-        }
-    kind = {"ftc-pe-early": "pe", "ftc-pe-late": "pe", "ftc-nonpe": "nonpe"}[figure_id]
-    return {
-        "mode": "ftc",
-        "delta_kind": kind,
-        "grid": {"t0": 0.0, "step": 1e-3, "horizon": 40.0},
-    }
+    fields, horizon, _ = PRESETS[figure_id]
+    return {**fields, "grid": {"t0": 0.0, "step": 1e-3, "horizon": horizon}}
 
 
 def cmd_reproduce(figure_id: str, out_dir: str | None) -> int:
@@ -444,19 +447,8 @@ def cmd_reproduce(figure_id: str, out_dir: str | None) -> int:
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
     cfg = _reproduce_config(figure_id)
-    horizon, step = parse_grid(cfg)
-    out = resolve_out_dir(out_dir, cfg)
-    writer = OutputWriter(out)
-    if cfg["mode"] == "identify":
-        result = run_identification_scenario(
-            input_kind=cfg["input_kind"], horizon=horizon, step=step
-        )
-        _estimator_csvs(writer, result)
-    else:
-        result = run_ftc_scenario(delta_kind=cfg["delta_kind"], horizon=horizon, step=step)
-        t_range = {"ftc-pe-early": (0.0, 3.0), "ftc-pe-late": (9.0, 40.0)}.get(figure_id)
-        _ftc_csvs(writer, result, t_range=t_range)
-    writer.text("summary.txt", _summary_text(result))
+    writer = OutputWriter(resolve_out_dir(out_dir, cfg))
+    write_result(writer, _run_study(cfg), t_range=PRESETS[figure_id][2])
     writer.manifest(cfg)
     return 0
 
@@ -493,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check-pe":
             return cmd_check_pe(args.config, args.out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or an argument the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ClipContractError, FloatingPointError) as exc:

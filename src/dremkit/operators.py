@@ -42,10 +42,6 @@ from .signals import SignalKind, TimeGrid, Trajectory, values_at
 Coefficient = float | Sequence | np.ndarray | Callable
 
 
-def _is_callable(v) -> bool:
-    return callable(v)
-
-
 def _coefficient_table(value: Coefficient, args: np.ndarray, shape: tuple) -> np.ndarray:
     """Evaluate a constant or callable coefficient at every sample argument.
 
@@ -53,7 +49,7 @@ def _coefficient_table(value: Coefficient, args: np.ndarray, shape: tuple) -> np
     functions of the sample index (see :func:`~dremkit.signals.values_at`).
     """
     n = len(args)
-    if _is_callable(value):
+    if callable(value):
         return values_at(value, args).reshape((n,) + shape)
     const = np.asarray(value, dtype=float).reshape(shape)
     return np.broadcast_to(const, (n,) + shape).copy()
@@ -91,7 +87,7 @@ class LtvChannelSpec:
             for name in ("A", "b", "c"):
                 if getattr(self, name) is None:
                     raise ValueError(f"{name} is required for a channel with state")
-            if not _is_callable(self.A):
+            if not callable(self.A):
                 A = np.asarray(self.A, dtype=float).reshape(self.n, self.n)
                 eig = np.linalg.eigvals(A)
                 if self.kind == "ct":
@@ -109,7 +105,7 @@ class LtvChannelSpec:
             object.__setattr__(self, "x0", x0.copy())
 
     def has_zero_feedthrough(self) -> bool:
-        return not _is_callable(self.d) and float(np.asarray(self.d)) == 0.0
+        return not callable(self.d) and float(np.asarray(self.d)) == 0.0
 
 
 @dataclass(frozen=True, eq=False)

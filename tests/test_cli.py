@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,17 +6,22 @@ import pytest
 
 from dremkit.cli import (
     FIGURE_IDS,
+    FLOAT_FMT,
     ConfigError,
-    OutputWriter,
-    _estimator_csvs,
-    _ftc_csvs,
     main,
+    parse_bank,
     read_csv,
     resolve_out_dir,
     write_csv,
 )
 from dremkit.ftc import ClipContractError
-from dremkit.scenarios import run_ftc_scenario, run_identification_scenario
+from dremkit.scenarios import (
+    PlantSpec,
+    RegressorSpec,
+    Sinusoid,
+    run_ftc_scenario,
+    run_identification_scenario,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -56,6 +62,85 @@ CUSTOM_CFG = {
 }
 
 
+# Reference copies of the writers that write_csv and write_result replaced:
+# csv.writer rows, one writer per study and a separate summary.
+
+
+def reference_csv(path, columns, arrays):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for k in range(len(arrays[0])):
+            writer.writerow([FLOAT_FMT % arr[k] for arr in arrays])
+
+
+class ReferenceWriter:
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.names = []
+        out_dir.mkdir(parents=True)
+
+    def csv(self, name, columns, arrays):
+        reference_csv(self.out_dir / name, columns, arrays)
+        self.names.append(name)
+
+    def text(self, name, content):
+        (self.out_dir / name).write_text(content)
+        self.names.append(name)
+
+
+def reference_estimator_csvs(writer, result):
+    times = result.grid.times()
+    for name, run in result.runs.items():
+        aux_name = "phi_norm_sq" if name == "gradient" else "delta"
+        hat = np.atleast_2d(run.theta_hat.values.T).T
+        tilde = np.atleast_2d(run.theta_tilde.values.T).T
+        m = hat.shape[1]
+        columns = (
+            ["t"]
+            + [f"theta_hat_{i+1}" for i in range(m)]
+            + [f"theta_tilde_{i+1}" for i in range(m)]
+            + [aux_name]
+        )
+        arrays = (
+            [times]
+            + [hat[:, i] for i in range(m)]
+            + [tilde[:, i] for i in range(m)]
+            + [np.asarray(run.diagnostics.values)]
+        )
+        writer.csv(f"{name}.csv", columns, arrays)
+
+
+def reference_ftc_csvs(writer, result, t_range=None):
+    times = result.grid.times()
+    mask = np.ones(len(times), dtype=bool)
+    if t_range is not None:
+        mask = (times >= t_range[0]) & (times <= t_range[1])
+    for name, run in result.runs.items():
+        hat = run.theta_hat.values[:, 0]
+        tilde = run.theta_tilde.values[:, 0]
+        columns = ["t", "theta_hat_1", "theta_tilde_1", "delta"]
+        arrays = [times[mask], hat[mask], tilde[mask], result.runs["gradient"].diagnostics.values[mask]]
+        ftc = result.ftc_runs.get(name)
+        if ftc is not None:
+            columns += ["w", "w_clipped"]
+            arrays += [ftc.w.values[mask], ftc.w_clipped.values[mask]]
+            if ftc.w_delayed is not None:
+                columns.append("w_delayed")
+                arrays.append(ftc.w_delayed.values[mask])
+        writer.csv(f"{name}.csv", columns, arrays)
+
+
+def reference_summary_text(result):
+    lines = ["run, convergence_time_s, final_abs_errors"]
+    for name in result.runs:
+        tc = result.convergence_times.get(name)
+        errs = result.final_errors.get(name)
+        err_txt = " ".join(FLOAT_FMT % e for e in np.atleast_1d(errs))
+        lines.append(f"{name}, {'none' if tc is None else FLOAT_FMT % tc}, {err_txt}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path, rng):
         cols = ["t", "x"]
@@ -74,6 +159,23 @@ class TestCsvRoundTrip:
         write_csv(path, ["v"], [vals])
         _, data = read_csv(path)
         np.testing.assert_array_equal(data[:, 0], vals)
+
+    def test_bytes_match_the_csv_module_on_special_values(self, tmp_path, rng):
+        tiny = np.finfo(float).tiny
+        special = np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324,
+             tiny / 3.0, tiny * (1.0 - 2.0**-52), 1.7976931348623157e308, 0.1, 123456789.0]
+        )
+        arrays = [special, special[::-1], rng.normal(size=special.size) * 1e-310]
+        columns = ["t", "x", "y"]
+        write_csv(tmp_path / "new.csv", columns, arrays)
+        reference_csv(tmp_path / "ref.csv", columns, arrays)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        header, data = read_csv(tmp_path / "new.csv")
+        assert header == columns
+        for k, arr in enumerate(arrays):
+            np.testing.assert_array_equal(data[:, k], arr)
+            assert np.array_equal(np.signbit(data[:, k]), np.signbit(arr))
 
 
 class TestSimulate:
@@ -212,6 +314,43 @@ class TestSimulate:
         assert f"ftc.{field}" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "base, section, value, field",
+        [
+            ("custom", "plant", 5, "'plant'"),
+            ("custom", "grid", 5, "'grid'"),
+            ("custom", "estimator", [1.0], "'estimator'"),
+            ("custom", "estimator", {"theta_hat0": [0, 0, 0]}, "theta_hat0"),
+            ("custom", "estimator", {"gamma": -1}, "'estimator.gamma'"),
+            ("custom", "bank", {"channels": 5}, "'bank.channels'"),
+            ("custom", "bank", {"channels": [5, 6]}, "'bank.channels[0]'"),
+            ("custom", "bank", {"channels": []}, "at least one channel"),
+            ("ftc", "ftc", {"gamma": -1}, "'ftc.gamma'"),
+            ("ftc", "ftc", {"delay_window": 0.015}, "delay_window"),
+            ("ftc", "ftc", {"clip_threshold": 1.5}, "clip_threshold"),
+        ],
+    )
+    def test_rejected_section_or_value_exits_1(self, tmp_path, capsys, base, section, value, field):
+        # a section that is not an object, or a value the library rejects
+        cfg = json.loads(json.dumps(CUSTOM_CFG if base == "custom" else FTC_CFG))
+        cfg[section] = value
+        if base == "ftc":
+            cfg["grid"]["step"] = 0.01  # a delay_window of 0.015 is off this grid
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_non_boolean_use_delayed_snapshot_exits_1(self, tmp_path, capsys, flag):
+        cfg = json.loads(json.dumps(FTC_CFG))
+        cfg["ftc"]["use_delayed_snapshot"] = flag
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "ftc.use_delayed_snapshot" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DREMKIT_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, IDENTIFY_CFG)
@@ -306,23 +445,55 @@ class TestReproduce:
 
 
     @pytest.mark.parametrize(
-        "figure_id, horizon", [("fig1", 20.0), ("ftc-pe-late", 40.0)]
+        "source, horizon",
+        [(fid, 20.0 if fid.startswith("fig") else 40.0) for fid in FIGURE_IDS]
+        + [("simulate-custom", 2.0), ("simulate-ftc", 12.0)],
     )
-    def test_csv_bytes_match_the_direct_study_run(self, tmp_path, figure_id, horizon):
-        # the preset's grid comes from its config; the bytes equal a direct
-        # run of the study on the 1e-3 grid over the preset horizon
-        out = tmp_path / "fig"
-        assert main(["reproduce", figure_id, "--out", str(out)]) == 0
-        ref = OutputWriter(tmp_path / "ref")
-        if figure_id == "fig1":
-            _estimator_csvs(ref, run_identification_scenario("rich", horizon=horizon, step=1e-3))
+    def test_csv_bytes_match_the_direct_study_run(self, tmp_path, source, horizon):
+        # every emitted file except the manifest equals the reference writers'
+        # output for a direct run of the study on the 1e-3 grid
+        out = tmp_path / "out"
+        ref = ReferenceWriter(tmp_path / "ref")
+        if source in FIGURE_IDS:
+            assert main(["reproduce", source, "--out", str(out)]) == 0
+        if source in ("fig1", "fig2"):
+            kind = "rich" if source == "fig1" else "constant"
+            result = run_identification_scenario(kind, horizon=horizon, step=1e-3)
+            reference_estimator_csvs(ref, result)
+        elif source in FIGURE_IDS:
+            result = run_ftc_scenario(
+                "nonpe" if source == "ftc-nonpe" else "pe", horizon=horizon, step=1e-3
+            )
+            t_range = {"ftc-pe-early": (0.0, 3.0), "ftc-pe-late": (9.0, 40.0)}.get(source)
+            reference_ftc_csvs(ref, result, t_range=t_range)
+        elif source == "simulate-custom":
+            cfg = json.loads(json.dumps(CUSTOM_CFG))
+            cfg["grid"]["horizon"] = horizon
+            cfg["plant"]["y0"] = 0.3
+            cfg["estimator"] = {"gamma": 1.5, "theta_hat0": [0.1, -0.2]}
+            assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            result = run_identification_scenario(
+                "rich",
+                horizon=horizon,
+                step=1e-3,
+                gamma=1.5,
+                theta_hat0=np.array([0.1, -0.2]),
+                plant=PlantSpec(a=-0.4, b=0.4, y0=0.3, input=Sinusoid(15.0, 2.5, 1.0)),
+                regressor=RegressorSpec(pole=5.0),
+                bank=parse_bank(cfg["bank"]),
+            )
+            reference_estimator_csvs(ref, result)
         else:
-            result = run_ftc_scenario("pe", horizon=horizon, step=1e-3)
-            _ftc_csvs(ref, result, t_range=(9.0, 40.0))
-        assert ref.entries
-        for entry in ref.entries:
-            name = entry["name"]
-            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+            ftc = {"gamma": 3.0, "clip_threshold": 0.95, "delay_window": 0.3,
+                   "theta_hat0": 0.5, "use_delayed_snapshot": False}
+            cfg = dict(FTC_CFG, delta_kind="nonpe", grid={"step": 1e-3, "horizon": horizon}, ftc=ftc)
+            assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            result = run_ftc_scenario("nonpe", horizon=horizon, step=1e-3, **ftc)
+            reference_ftc_csvs(ref, result)
+        ref.text("summary.txt", reference_summary_text(result))
+        assert sorted(ref.names) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        for name in ref.names:
+            assert (out / name).read_bytes() == (ref.out_dir / name).read_bytes(), name
 
 
 class TestCheckPe:
