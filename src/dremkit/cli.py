@@ -192,17 +192,24 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
+def _given_out_dir(flag_value: str | None, cfg: dict | None) -> Path | None:
+    """The output directory from --out, the config or the environment, or None."""
+    configured = cfg.get("out_dir") if cfg else None
+    if configured is not None and not isinstance(configured, str):
+        raise _fail("out_dir", f"expected a path string, got {configured!r}")
+    for value in (flag_value, configured, os.environ.get(ENV_OUT_DIR)):
+        if value:
+            return Path(value)
+    return None
+
+
 def resolve_out_dir(flag_value: str | None, cfg: dict | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    if cfg and cfg.get("out_dir"):
-        return Path(cfg["out_dir"])
-    env = os.environ.get(ENV_OUT_DIR)
-    if env:
-        return Path(env)
-    raise ConfigError(
-        f"no output directory: pass --out, set 'out_dir' in the config, or set {ENV_OUT_DIR}"
-    )
+    out = _given_out_dir(flag_value, cfg)
+    if out is None:
+        raise ConfigError(
+            f"no output directory: pass --out, set 'out_dir' in the config, or set {ENV_OUT_DIR}"
+        )
+    return out
 
 
 def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
@@ -266,6 +273,9 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
     ``w_clipped`` and, when present, ``w_delayed``. ``t_range = (start,
     stop)`` keeps only the rows with start <= t <= stop.
     """
+    for name, run in result.runs.items():
+        if run.theta_tilde is None or name not in result.final_errors:
+            raise ValueError(f"run {name!r} has no truth, so its errors cannot be written")
     times = result.grid.times()
     rows = slice(None) if t_range is None else (times >= t_range[0]) & (times <= t_range[1])
     summary = ["run, convergence_time_s, final_abs_errors"]
@@ -369,6 +379,8 @@ def _pe_signal(cfg: dict) -> Trajectory:
     sig = _section(cfg, "signal")
     kind = _get(sig, "kind")
     domain = sig.get("domain", "ct")
+    if domain not in (("ct",) if kind == "sinusoid-pair" else ("ct", "dt")):
+        raise _fail("signal.domain", f"expected 'ct' or 'dt' ('ct' for {kind}), got {domain!r}")
     if kind == "zero":
         from .signals import DEFAULT_DT_STEP
 
@@ -423,11 +435,8 @@ def _pe_check_text(cfg: dict) -> str:
 
 def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
     cfg = load_config(config_path)
+    out = _given_out_dir(out_dir, cfg)
     text = _pe_check_text(cfg)
-    try:
-        out = resolve_out_dir(out_dir, cfg)
-    except ConfigError:
-        out = None
     if out is not None:
         writer = OutputWriter(out)
         writer.text("pe_report.txt", text)

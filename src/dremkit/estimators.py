@@ -25,7 +25,7 @@ import numpy as np
 
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
-from .quadrature import cumulative_simpson
+from .quadrature import cumulative_energy
 from .signals import Trajectory
 
 # samples per block of the DT recursions; bounds the Python floats alive at once
@@ -228,12 +228,12 @@ def closed_form_error_ct(
     delta: Trajectory, gamma: float, theta_tilde0: float
 ) -> Trajectory:
     """Error envelope exp(-gamma * int_0^t Delta^2) * err0 on the grid, with
-    the integral from cumulative Simpson quadrature."""
+    the integral from :func:`dremkit.quadrature.cumulative_energy`."""
     if not delta.is_scalar or delta.kind != "ct":
         raise ValueError("closed_form_error_ct expects a scalar CT Delta")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    energy = cumulative_simpson(delta.values * delta.values, delta.grid.step)
+    energy = cumulative_energy(delta).values
     return Trajectory(delta.grid, np.exp(-gamma * energy) * theta_tilde0, "ct")
 
 

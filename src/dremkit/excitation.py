@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cumulative_simpson
+from .quadrature import (
+    cumulative_energy,
+    cumulative_simpson,
+    lagged_difference,
+    window_steps,
+)
 from .signals import Trajectory
 
 DEFAULT_THRESHOLD = 1e-3
@@ -60,15 +65,11 @@ def pe_check_ct(
     if phi.kind != "ct":
         raise ValueError("pe_check_ct expects a CT trajectory")
     vals = _as_vector_values(phi)
-    step = phi.grid.step
-    lag = int(round(window / step))
-    if lag < 1 or abs(window - lag * step) > 1e-9 * max(step, window):
-        raise ValueError("window must be a positive grid multiple")
+    lag = window_steps(window, phi.grid.step, "window")
     if phi.grid.horizon < 2 * window:
         raise ValueError("horizon must cover at least two windows")
     outer = np.einsum("ki,kj->kij", vals, vals)
-    cum = cumulative_simpson(outer, step)
-    grams = cum[lag:] - cum[:-lag]
+    grams = lagged_difference(cumulative_simpson(outer, phi.grid.step), lag)[lag:]
     eigs = _window_min_eigs(grams)
     alpha = float(eigs.min())
     return PeReport(
@@ -115,24 +116,6 @@ def pe_check_dt(
         min_eigenvalues=eigs,
         start_times=phi.times()[: len(eigs)],
     )
-
-
-def cumulative_energy(delta: Trajectory) -> Trajectory:
-    """Cumulative squared signal: Simpson integral of Delta^2 for CT data,
-    running sum for DT data.
-
-    The DT sum is exactly non-decreasing; the CT integral is non-decreasing
-    up to the Simpson rule's local truncation error (order step^3) near
-    zeros of the signal.
-    """
-    if not delta.is_scalar:
-        raise ValueError("cumulative_energy expects a scalar trajectory")
-    sq = delta.values * delta.values
-    if delta.kind == "ct":
-        out = cumulative_simpson(sq, delta.grid.step)
-    else:
-        out = np.cumsum(sq)
-    return delta.with_values(out)
 
 
 def energy_exceeds(energy: Trajectory, envelope, t_min: float | None = None) -> bool:

@@ -18,9 +18,10 @@ matching identity uses the snapshot theta_hat(t - T) and therefore keeps
 recovering parameters that changed, as long as the window carries enough
 excitation.
 
-Both weights are computed from their closed-form exponential solutions via
-cumulative Simpson quadrature rather than by stepping the weight ODEs; this
-keeps w consistent with the error envelopes built from the same integral.
+Both weights are closed-form exponentials of one energy array per pipeline,
+integrated by :func:`dremkit.quadrature.cumulative_energy` like the error
+envelopes, so w stays consistent with them; the activation times come from
+the same array, and both identities share one recovery routine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cumulative_simpson, lagged_difference
+from .quadrature import cumulative_energy, lagged_difference, window_steps
 from .signals import Trajectory
 
 # below this window weight deficit the delayed identity divides by ~0 and the
@@ -82,23 +83,56 @@ class FtcRun:
     active: np.ndarray
 
 
-def _check_scalar_ct(delta: Trajectory) -> None:
+def _energy(delta: Trajectory, gamma: float) -> np.ndarray:
+    """gamma * int_0^t Delta^2 on the grid: minus the log of the weight."""
     if not delta.is_scalar or delta.kind != "ct":
         raise ValueError("expected a scalar CT trajectory")
-
-
-def _energy(delta: Trajectory, gamma: float) -> np.ndarray:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return gamma * cumulative_simpson(delta.values * delta.values, delta.grid.step)
+    return gamma * cumulative_energy(delta).values
+
+
+def _weight(delta: Trajectory, energy: np.ndarray) -> Trajectory:
+    return Trajectory(delta.grid, np.minimum(np.exp(-energy), 1.0), "ct")
+
+
+def _activation(
+    delta: Trajectory, energy: np.ndarray, mu: float, start: int = 0
+) -> float | None:
+    """First grid time from sample ``start`` on with energy >= -ln(mu)."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0, 1)")
+    cond = energy[start:] >= -np.log(mu)
+    if not cond.any():
+        return None
+    return float(delta.times()[start + int(np.argmax(cond))])
+
+
+def _recover(
+    theta_hat: Trajectory, w: Trajectory, usable: np.ndarray, ref0, lag: int | None = None
+) -> Trajectory:
+    """[theta_hat - w ref] / (1 - w) on the ``usable`` samples, the raw
+    estimate elsewhere (never divided); w broadcasts over the components.
+    ``ref`` is ``ref0``, or with a ``lag`` the snapshot theta_hat(t - lag),
+    which is ``ref0`` while t < lag (signals vanish before time zero, so the
+    estimate was at rest)."""
+    if theta_hat.grid != w.grid:
+        raise ValueError("theta_hat and the weight must share one grid")
+    hat = theta_hat.values
+    ref = np.broadcast_to(np.asarray(ref0, dtype=float), hat.shape)
+    if lag is not None:
+        ref = np.concatenate([ref[:lag], hat[:-lag]])
+    wk = w.values[usable]
+    out = hat.copy()
+    # transposed, the sample axis is last and wk broadcasts over components
+    out[usable] = ((hat[usable].T - wk * ref[usable].T) / (1.0 - wk)).T
+    return theta_hat.with_values(out)
 
 
 def update_w(delta: Trajectory, gamma: float) -> Trajectory:
     """Full-history weight w = exp(-gamma * int_0^t Delta^2); non-increasing,
     in (0, 1]."""
-    _check_scalar_ct(delta)
-    w = np.exp(-_energy(delta, gamma))
-    return Trajectory(delta.grid, np.minimum(w, 1.0), "ct")
+    return _weight(delta, _energy(delta, gamma))
 
 
 def clip_w(w: Trajectory, mu: float) -> Trajectory:
@@ -116,41 +150,17 @@ def ftc_estimate(
     Exact whenever theta_hat follows its error envelope: the weight then
     cancels the remaining transient sample for sample.
     """
-    if theta_hat.grid != w_clipped.grid:
-        raise ValueError("theta_hat and w_clipped must share one grid")
-    wc = w_clipped.values
-    if np.any(wc >= 1.0):
+    if np.any(w_clipped.values >= 1.0):
         raise ClipContractError("clipped weight reached 1; cannot invert 1 - w")
-    th0 = np.atleast_1d(np.asarray(theta_hat0, dtype=float))
-    hat = theta_hat.values
-    if hat.ndim == 1:
-        return theta_hat.with_values((hat - wc * th0[0]) / (1.0 - wc))
-    return theta_hat.with_values((hat - wc[:, None] * th0) / (1.0 - wc[:, None]))
+    every = np.ones(w_clipped.grid.count, dtype=bool)
+    return _recover(theta_hat, w_clipped, every, theta_hat0)
 
 
 def update_w_delayed(delta: Trajectory, gamma: float, delay_window: float) -> Trajectory:
     """Moving-window weight w_d = exp(-gamma * int_{t-T}^t Delta^2), with the
     signal treated as zero before time zero."""
-    _check_scalar_ct(delta)
-    lag = _window_steps(delta, delay_window)
-    energy = lagged_difference(_energy(delta, gamma), lag)
-    return Trajectory(delta.grid, np.minimum(np.exp(-energy), 1.0), "ct")
-
-
-def _window_steps(delta: Trajectory, delay_window: float) -> int:
-    step = delta.grid.step
-    lag = int(round(delay_window / step))
-    if lag < 1 or abs(delay_window - lag * step) > 1e-9 * max(step, delay_window):
-        raise ValueError("delay_window must be a positive grid multiple")
-    return lag
-
-
-def _delayed_snapshot(theta_hat: Trajectory, lag: int) -> np.ndarray:
-    hat = theta_hat.values
-    snap = np.empty_like(hat)
-    snap[:lag] = hat[0]  # signals vanish before 0, so the estimate was at rest
-    snap[lag:] = hat[:-lag]
-    return snap
+    lag = window_steps(delay_window, delta.grid.step, "delay_window")
+    return _weight(delta, lagged_difference(_energy(delta, gamma), lag))
 
 
 def ftc_alert_estimate(
@@ -167,52 +177,26 @@ def ftc_alert_estimate(
     since the identity degenerates there. With ``use_delayed_snapshot=False``
     the reference is theta_hat(0) instead of the delayed snapshot.
     """
-    if theta_hat.grid != w_delayed.grid:
-        raise ValueError("theta_hat and w_delayed must share one grid")
-    wd = w_delayed.values
-    lag = _window_steps(w_delayed, delay_window)
-    hat = theta_hat.values
-    if use_delayed_snapshot:
-        snap = _delayed_snapshot(theta_hat, lag)
-    else:
-        snap = np.broadcast_to(hat[0], hat.shape)
-    usable = 1.0 - wd > MIN_WINDOW_DEFICIT
-    out = hat.copy()
-    if hat.ndim == 1:
-        out[usable] = (hat[usable] - wd[usable] * snap[usable]) / (1.0 - wd[usable])
-    else:
-        wcol = wd[usable][:, None]
-        out[usable] = (hat[usable] - wcol * snap[usable]) / (1.0 - wcol)
-    return theta_hat.with_values(out)
+    lag = window_steps(delay_window, w_delayed.grid.step, "delay_window")
+    usable = 1.0 - w_delayed.values > MIN_WINDOW_DEFICIT
+    return _recover(
+        theta_hat, w_delayed, usable, theta_hat.values[0], lag if use_delayed_snapshot else None
+    )
 
 
 def interval_excitation_time(
     delta: Trajectory, gamma: float, mu: float
 ) -> float | None:
     """First grid time where gamma * int_0^t Delta^2 >= -ln(mu), or None."""
-    _check_scalar_ct(delta)
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    cond = _energy(delta, gamma) >= -np.log(mu)
-    if not cond.any():
-        return None
-    return float(delta.times()[int(np.argmax(cond))])
+    return _activation(delta, _energy(delta, gamma), mu)
 
 
 def interval_excitation_time_delayed(
     delta: Trajectory, gamma: float, mu: float, delay_window: float
 ) -> float | None:
     """First grid time t >= T with gamma * int_{t-T}^t Delta^2 >= -ln(mu)."""
-    _check_scalar_ct(delta)
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    lag = _window_steps(delta, delay_window)
-    window = lagged_difference(_energy(delta, gamma), lag)
-    cond = window >= -np.log(mu)
-    cond[:lag] = False
-    if not cond.any():
-        return None
-    return float(delta.times()[int(np.argmax(cond))])
+    lag = window_steps(delay_window, delta.grid.step, "delay_window")
+    return _activation(delta, lagged_difference(_energy(delta, gamma), lag), mu, start=lag)
 
 
 def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:
@@ -222,22 +206,16 @@ def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:
     flagged inactive; after activation the clipped weight equals the true
     weight and the recovery formula applies.
     """
-    w = update_w(delta, cfg.gamma)
+    energy = _energy(delta, cfg.gamma)
+    w = _weight(delta, energy)
     wc = clip_w(w, cfg.clip_threshold)
-    t_c = interval_excitation_time(delta, cfg.gamma, cfg.clip_threshold)
     active = w.values < cfg.clip_threshold
-    estimate = ftc_estimate(theta_hat, wc, theta_hat.values[0])
-    out = np.where(
-        active if theta_hat.values.ndim == 1 else active[:, None],
-        estimate.values,
-        theta_hat.values,
-    )
     return FtcRun(
-        theta_ftc=theta_hat.with_values(out),
+        theta_ftc=_recover(theta_hat, wc, active, theta_hat.values[0]),
         w=w,
         w_clipped=wc,
         w_delayed=None,
-        t_c=t_c,
+        t_c=_activation(delta, energy, cfg.clip_threshold),
         active=active,
     )
 
@@ -251,23 +229,20 @@ def run_ftc_alert(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> F
     relies on. Samples where the window carries essentially no excitation
     (1 - w_d below ``MIN_WINDOW_DEFICIT``) fall back to the raw estimate.
     """
-    w = update_w(delta, cfg.gamma)
-    wd = update_w_delayed(delta, cfg.gamma, cfg.delay_window)
-    wdc = clip_w(wd, cfg.clip_threshold)
-    t_c = interval_excitation_time_delayed(
-        delta, cfg.gamma, cfg.clip_threshold, cfg.delay_window
-    )
+    energy = _energy(delta, cfg.gamma)
+    lag = window_steps(cfg.delay_window, delta.grid.step, "delay_window")
+    window = lagged_difference(energy, lag)
+    wd = _weight(delta, window)
+    t_c = _activation(delta, window, cfg.clip_threshold, start=lag)
     active = np.zeros(theta_hat.grid.count, dtype=bool)
-    out = theta_hat.values.copy()
     if t_c is not None:
         start = theta_hat.grid.index_of(t_c)
         active[start:] = 1.0 - wd.values[start:] > MIN_WINDOW_DEFICIT
-        estimate = ftc_alert_estimate(theta_hat, wd, cfg.delay_window, cfg.use_delayed_snapshot)
-        out[start:] = estimate.values[start:]
+    snapshot_lag = lag if cfg.use_delayed_snapshot else None
     return FtcRun(
-        theta_ftc=theta_hat.with_values(out),
-        w=w,
-        w_clipped=wdc,
+        theta_ftc=_recover(theta_hat, wd, active, theta_hat.values[0], snapshot_lag),
+        w=_weight(delta, energy),
+        w_clipped=clip_w(wd, cfg.clip_threshold),
         w_delayed=wd,
         t_c=t_c,
         active=active,

@@ -1,13 +1,16 @@
 """Fixed-grid quadrature helpers.
 
-One cumulative-integral routine is shared by the error envelopes, the
-finite-time weights and the excitation Gramians so that quotient identities
-between those quantities hold to rounding error.
+``cumulative_energy`` is the only integral of Delta^2: the error envelopes,
+the finite-time weights and activation times and the excitation-energy
+checks all read it, so quotient identities between them hold to rounding
+error. Its CT rule, ``cumulative_simpson``, also integrates the Gramians.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .signals import Trajectory
 
 
 def cumulative_simpson(samples: np.ndarray, step: float) -> np.ndarray:
@@ -29,6 +32,34 @@ def cumulative_simpson(samples: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def cumulative_energy(delta: Trajectory) -> Trajectory:
+    """Cumulative squared signal: Simpson integral of Delta^2 for CT data,
+    running sum for DT data.
+
+    The DT sum is exactly non-decreasing; the CT integral is non-decreasing
+    up to the Simpson rule's local truncation error (order step^3) near
+    zeros of the signal.
+    """
+    if not delta.is_scalar:
+        raise ValueError("cumulative_energy expects a scalar trajectory")
+    sq = delta.values * delta.values
+    if delta.kind == "ct":
+        out = cumulative_simpson(sq, delta.grid.step)
+    else:
+        out = np.cumsum(sq)
+    return delta.with_values(out)
+
+
+def window_steps(window: float, step: float, field: str) -> int:
+    """Number of grid steps in ``window`` seconds; ``field`` names the window
+    in the error raised when it is not a positive grid multiple."""
+    ratio = window / step
+    lag = int(round(ratio)) if np.isfinite(ratio) else 0
+    if lag < 1 or abs(window - lag * step) > 1e-9 * max(step, window):
+        raise ValueError(f"{field} must be a positive grid multiple")
+    return lag
+
+
 def lagged_difference(cumulative: np.ndarray, lag: int) -> np.ndarray:
     """Moving-window integral ``C[k] - C[k-lag]`` with ``C`` treated as 0
     before the start of the record (signals vanish before time zero)."""
@@ -36,6 +67,6 @@ def lagged_difference(cumulative: np.ndarray, lag: int) -> np.ndarray:
         raise ValueError("lag must be nonnegative")
     if lag == 0:
         return np.zeros_like(cumulative)
-    shifted = np.zeros_like(cumulative)
-    shifted[lag:] = cumulative[:-lag]
-    return cumulative - shifted
+    out = cumulative.copy()
+    out[lag:] -= cumulative[:-lag]
+    return out

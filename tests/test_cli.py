@@ -8,20 +8,26 @@ from dremkit.cli import (
     FIGURE_IDS,
     FLOAT_FMT,
     ConfigError,
+    OutputWriter,
     main,
     parse_bank,
     read_csv,
     resolve_out_dir,
     write_csv,
+    write_result,
 )
+from dremkit.estimators import GradientConfig, drem_ct
 from dremkit.ftc import ClipContractError
+from dremkit.mixing import MixedRegression
 from dremkit.scenarios import (
     PlantSpec,
     RegressorSpec,
+    ScenarioResult,
     Sinusoid,
     run_ftc_scenario,
     run_identification_scenario,
 )
+from dremkit.signals import TimeGrid, Trajectory
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -177,6 +183,18 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(data[:, k], arr)
             assert np.array_equal(np.signbit(data[:, k]), np.signbit(arr))
 
+    def test_run_without_truth_is_rejected_before_any_file(self, tmp_path):
+        grid = TimeGrid.from_horizon(0.1, 1e-3)
+        delta = Trajectory(grid, np.ones(grid.count), "ct")
+        mixed = MixedRegression(calY=Trajectory(grid, np.ones((grid.count, 1)), "ct"), Delta=delta)
+        run = drem_ct(mixed, GradientConfig(1.0, np.zeros(1)))
+        assert run.theta_tilde is None
+        result = ScenarioResult(grid=grid, theta_true=None, runs={"drem_blind": run})
+        writer = OutputWriter(tmp_path / "o")
+        with pytest.raises(ValueError, match="drem_blind"):
+            write_result(writer, result)
+        assert not list((tmp_path / "o").iterdir())
+
 
 class TestSimulate:
     def test_identify_outputs(self, tmp_path):
@@ -328,6 +346,9 @@ class TestSimulate:
             ("ftc", "ftc", {"gamma": -1}, "'ftc.gamma'"),
             ("ftc", "ftc", {"delay_window": 0.015}, "delay_window"),
             ("ftc", "ftc", {"clip_threshold": 1.5}, "clip_threshold"),
+            ("custom", "out_dir", 5, "'out_dir'"),
+            ("ftc", "out_dir", ["x"], "'out_dir'"),
+            ("ftc", "ftc", {"delay_window": "inf"}, "delay_window"),
         ],
     )
     def test_rejected_section_or_value_exits_1(self, tmp_path, capsys, base, section, value, field):
@@ -549,6 +570,10 @@ class TestCheckPe:
             ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": "two"}, "window": 0.5}),
             ("signal.horizon", {"signal": {"kind": "counterexample", "horizon": "long"}}),
             ("max_window", {"signal": {"kind": "counterexample", "horizon": 100}, "max_window": 1e400}),
+            ("out_dir", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "out_dir": 5}),
+            ("out_dir", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "out_dir": ["x"]}),
+            ("signal.domain", {"signal": {"kind": "sinusoid-pair", "domain": "dt"}, "window": 2 * np.pi}),
+            ("signal.domain", {"signal": {"kind": "zero", "domain": "ctt", "horizon": 1.0}, "window": 0.5}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):

@@ -17,6 +17,7 @@ from dremkit.ftc import (
     update_w_delayed,
 )
 from dremkit.mixing import MixedRegression
+from dremkit.quadrature import cumulative_simpson, lagged_difference
 from dremkit.scenarios import run_ftc_scenario
 from dremkit.signals import TimeGrid, Trajectory
 
@@ -333,6 +334,55 @@ class TestPipelines:
         assert np.abs(plain.theta_ftc.values[tail] - hat.values[tail]).max() <= 1e-3
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("snapshot", [True, False])
+def test_vector_estimates_equal_per_column_calls(rng, snapshot):
+    # Delta switches off at t = 1, so the late windows are unusable samples
+    grid = TimeGrid.from_horizon(2.0, 1e-3)
+    t = grid.times()
+    delta = Trajectory(grid, np.where(t < 1.0, np.sin(2 * np.pi * t), 0.0), "ct")
+    hat = Trajectory(grid, rng.normal(size=(grid.count, 3)), "ct")
+    theta_hat0 = rng.normal(size=3)
+    wc = clip_w(update_w(delta, 2.0), 0.98)
+    wd = update_w_delayed(delta, 2.0, 0.2)
+    assert np.any(1.0 - wd.values <= MIN_WINDOW_DEFICIT)
+    plain = ftc_estimate(hat, wc, theta_hat0).values
+    alert = ftc_alert_estimate(hat, wd, 0.2, snapshot).values
+    for i in range(3):
+        column = Trajectory(grid, hat.values[:, i].copy(), "ct")
+        assert same_bits(plain[:, i], ftc_estimate(column, wc, theta_hat0[i : i + 1]).values)
+        assert same_bits(alert[:, i], ftc_alert_estimate(column, wd, 0.2, snapshot).values)
+
+
+# Reference copies of the recovery pipelines as they were when each one
+# integrated Delta^2 once per weight and once per activation search.
+
+
+def old_energy(delta, gamma):
+    return gamma * cumulative_simpson(delta.values * delta.values, delta.grid.step)
+
+
+def old_activation(cond, times):
+    return float(times[int(np.argmax(cond))]) if cond.any() else None
+
+
+def old_run_ftc(theta_hat, delta, cfg):
+    """(theta_ftc, w, w_clipped, w_delayed, t_c, active) of the old run_ftc."""
+    mu = cfg.clip_threshold
+    w = np.minimum(np.exp(-old_energy(delta, cfg.gamma)), 1.0)
+    wc = np.where(w >= mu, mu, w)
+    t_c = old_activation(old_energy(delta, cfg.gamma) >= -np.log(mu), delta.times())
+    active = w < mu
+    hat = theta_hat.values
+    th0 = np.atleast_1d(np.asarray(hat[0], dtype=float))
+    estimate = (hat - wc * th0[0]) / (1.0 - wc)
+    return np.where(active, estimate, hat), w, wc, None, t_c, active
+
+
 def old_alert_recovery(theta_hat, wd, t_c, cfg):
     """Copy of the recovery body run_ftc_alert had before it called
     ftc_alert_estimate: (theta_ftc, active)."""
@@ -355,14 +405,53 @@ def old_alert_recovery(theta_hat, wd, t_c, cfg):
     return out, active
 
 
-@pytest.mark.parametrize("kind", ["pe", "nonpe"])
+def old_run_ftc_alert(theta_hat, delta, cfg):
+    """(theta_ftc, w, w_clipped, w_delayed, t_c, active) of the old run_ftc_alert."""
+    mu = cfg.clip_threshold
+    lag = int(round(cfg.delay_window / delta.grid.step))
+    w = np.minimum(np.exp(-old_energy(delta, cfg.gamma)), 1.0)
+    wd = np.minimum(np.exp(-lagged_difference(old_energy(delta, cfg.gamma), lag)), 1.0)
+    wdc = np.where(wd >= mu, mu, wd)
+    cond = lagged_difference(old_energy(delta, cfg.gamma), lag) >= -np.log(mu)
+    cond[:lag] = False
+    t_c = old_activation(cond, delta.times())
+    out, active = old_alert_recovery(theta_hat, wd, t_c, cfg)
+    return out, w, wdc, wd, t_c, active
+
+
+PIPELINE_SETTINGS = [
+    {"gamma": 2.0, "clip_threshold": 0.98, "delay_window": 0.2},
+    {"gamma": 3.5, "clip_threshold": 0.9, "delay_window": 0.35},
+]
+
+
+@pytest.mark.parametrize("kind", ["pe", "nonpe", "random"])
 @pytest.mark.parametrize("snapshot", [True, False])
 def test_alert_pipeline_matches_old_recovery_body(kind, snapshot):
-    result = run_ftc_scenario(kind, use_delayed_snapshot=snapshot)
-    alert = result.ftc_runs["ftc_d"]
-    hat = Trajectory(result.grid, result.runs["gradient"].theta_hat.values[:, 0], "ct")
-    cfg = FtcConfig(gamma=2.0, delay_window=0.2, use_delayed_snapshot=snapshot)
-    out, active = old_alert_recovery(hat, alert.w_delayed.values, alert.t_c, cfg)
-    assert alert.t_c is not None
-    np.testing.assert_array_equal(alert.theta_ftc.values, out)
-    np.testing.assert_array_equal(alert.active, active)
+    # both pipelines against the old copies, every FtcRun field bit for bit,
+    # at the default and at non-default gain, threshold and window
+    for settings in PIPELINE_SETTINGS:
+        cfg = FtcConfig(**settings, use_delayed_snapshot=snapshot)
+        if kind == "random":
+            # a silent stretch longer than the window leaves unusable samples
+            rng = np.random.default_rng(2024)
+            grid = TimeGrid.from_horizon(6.0, 1e-3)
+            t = grid.times()
+            delta = Trajectory(grid, rng.normal(size=grid.count) * ((t < 2.0) | (t > 3.5)), "ct")
+            hat = Trajectory(grid, np.cumsum(rng.normal(scale=1e-2, size=grid.count)), "ct")
+            runs = {"ftc": run_ftc(hat, delta, cfg), "ftc_d": run_ftc_alert(hat, delta, cfg)}
+        else:
+            result = run_ftc_scenario(kind, **settings, use_delayed_snapshot=snapshot)
+            delta = result.runs["gradient"].diagnostics
+            hat = Trajectory(result.grid, result.runs["gradient"].theta_hat.values[:, 0], "ct")
+            runs = result.ftc_runs
+        for name, old_pipeline in (("ftc", old_run_ftc), ("ftc_d", old_run_ftc_alert)):
+            run = runs[name]
+            theta_ftc, w, w_clipped, w_delayed, t_c, active = old_pipeline(hat, delta, cfg)
+            assert run.t_c is not None and run.t_c == t_c
+            assert same_bits(run.theta_ftc.values, theta_ftc)
+            assert same_bits(run.w.values, w)
+            assert same_bits(run.w_clipped.values, w_clipped)
+            assert (run.w_delayed is None) == (w_delayed is None)
+            assert w_delayed is None or same_bits(run.w_delayed.values, w_delayed)
+            assert same_bits(run.active, active)

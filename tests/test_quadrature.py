@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dremkit.quadrature import cumulative_simpson, lagged_difference
+from dremkit.quadrature import cumulative_simpson, lagged_difference, window_steps
 
 
 def test_exact_on_quadratic_at_even_indices():
@@ -50,3 +50,10 @@ def test_lagged_difference_validation():
     with pytest.raises(ValueError):
         lagged_difference(np.arange(4.0), -1)
     np.testing.assert_array_equal(lagged_difference(np.arange(4.0), 0), np.zeros(4))
+
+
+def test_window_steps():
+    assert window_steps(0.2, 1e-3, "delay_window") == 200
+    for window in (0.0, -0.2, 0.00015, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="delay_window must be a positive grid multiple"):
+            window_steps(window, 1e-3, "delay_window")
