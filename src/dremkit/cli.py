@@ -375,12 +375,22 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     return 0
 
 
-def _pe_signal(cfg: dict) -> Trajectory:
-    sig = _section(cfg, "signal")
-    kind = _get(sig, "kind")
-    domain = sig.get("domain", "ct")
-    if domain not in (("ct",) if kind == "sinusoid-pair" else ("ct", "dt")):
-        raise _fail("signal.domain", f"expected 'ct' or 'dt' ('ct' for {kind}), got {domain!r}")
+# the domains each pe-check signal kind is defined on; the first is the default
+_PE_DOMAINS = {"zero": ("ct", "dt"), "sinusoid-pair": ("ct",), "counterexample": ("dt",)}
+
+
+def _pe_domain(sig: dict, kind: str) -> str:
+    domains = _PE_DOMAINS.get(kind) if isinstance(kind, str) else None
+    if domains is None:
+        raise _fail("signal.kind", f"unknown signal kind {kind!r}")
+    domain = sig.get("domain", domains[0])
+    if domain not in domains:
+        expected = " or ".join(repr(d) for d in domains)
+        raise _fail("signal.domain", f"expected {expected} for {kind}, got {domain!r}")
+    return domain
+
+
+def _pe_signal(sig: dict, kind: str, domain: str) -> Trajectory:
     if kind == "zero":
         from .signals import DEFAULT_DT_STEP
 
@@ -390,21 +400,21 @@ def _pe_signal(cfg: dict) -> Trajectory:
         dim = _integer(sig.get("dim", 1), "signal.dim")
         vals = np.zeros((grid.count, dim)) if dim > 1 else np.zeros(grid.count)
         return Trajectory(grid, vals, domain)
-    if kind == "sinusoid-pair":
-        # (sin t, cos t) sampled so the window is a grid multiple
-        step = _number(sig.get("step", 2.0 * np.pi / 6000), "signal.step")
-        horizon = _number(sig.get("horizon", 8.0 * np.pi), "signal.horizon")
-        grid = TimeGrid.from_horizon(horizon, step)
-        t = grid.times()
-        return Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), "ct")
-    raise _fail("signal.kind", f"unknown signal kind {kind!r}")
+    # sinusoid-pair: (sin t, cos t) sampled so the window is a grid multiple
+    step = _number(sig.get("step", 2.0 * np.pi / 6000), "signal.step")
+    horizon = _number(sig.get("horizon", 8.0 * np.pi), "signal.horizon")
+    grid = TimeGrid.from_horizon(horizon, step)
+    t = grid.times()
+    return Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), "ct")
 
 
 def _pe_check_text(cfg: dict) -> str:
-    sig_kind = _get(_section(cfg, "signal"), "kind")
+    sig = _section(cfg, "signal")
+    sig_kind = _get(sig, "kind")
     threshold = _number(cfg.get("threshold", 1e-3), "threshold")
+    domain = _pe_domain(sig, sig_kind)
     if sig_kind == "counterexample":
-        horizon = _integer(cfg["signal"].get("horizon", 100_000), "signal.horizon")
+        horizon = _integer(sig.get("horizon", 100_000), "signal.horizon")
         max_window = _integer(cfg.get("max_window", 100), "max_window")
         report = counterexample_suite(horizon, max_window, threshold)
         lines = [
@@ -419,7 +429,7 @@ def _pe_check_text(cfg: dict) -> str:
         for K in sorted(report.alpha_by_window):
             lines.append(f"{K}, {report.alpha_by_window[K]:.9g}")
         return "\n".join(lines) + "\n"
-    phi = _pe_signal(cfg)
+    phi = _pe_signal(sig, sig_kind, domain)
     window = _get(cfg, "window")
     if phi.kind == "ct":
         report = pe_check_ct(phi, _number(window, "window"), threshold)

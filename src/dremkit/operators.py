@@ -17,8 +17,10 @@ time-varying coefficients held at the left grid point over each step
 built for the whole record at once and composed by a prefix scan
 (:mod:`dremkit.integrate`). A scalar-state channel and the single-filter
 path of :func:`kre_ct` go through the same elementwise maps, so the two
-agree bit for bit. Discrete-time channels run the exact state recursion
-sample by sample. Signals are taken to vanish before time zero, so delayed
+agree bit for bit. Discrete-time channels compose their exact per-step maps
+``(A(k), b(k) u(k))`` with the same scan, so they match the sample-by-sample
+recursion up to rounding; the DT estimators of :mod:`dremkit.estimators`
+stay sequential. Signals are taken to vanish before time zero, so delayed
 taps read 0 until the delay window fills.
 
 Coefficients are tabulated once per record. A callable coefficient that
@@ -61,7 +63,7 @@ class LtvChannelSpec:
 
     ``A``, ``b``, ``c``, ``d`` and ``delay_gain`` may be constants or
     callables (of time for CT channels, of the sample index for DT ones).
-    ``delay`` is in seconds for CT channels and in steps for DT channels.
+    ``delay`` is in seconds for CT channels and in whole steps for DT channels.
     Stability of a time-varying ``A`` is the caller's responsibility; a
     constant ``A`` is checked at construction.
     """
@@ -83,6 +85,8 @@ class LtvChannelSpec:
             raise ValueError(f"kind must be 'ct' or 'dt', got {self.kind!r}")
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
+        if self.kind == "dt" and not float(self.delay).is_integer():
+            raise ValueError(f"a DT delay is a whole number of steps, got {self.delay}")
         if self.n > 0:
             for name in ("A", "b", "c"):
                 if getattr(self, name) is None:
@@ -162,7 +166,7 @@ def _delay_steps(delay: float, step: float) -> int:
     if abs(delay - lag * step) > 1e-9 * max(step, abs(delay), 1e-300):
         warnings.warn(
             f"delay {delay} rounded to {lag} grid steps ({lag * step})",
-            stacklevel=3,
+            stacklevel=4,
         )
     return max(lag, 0)
 
@@ -176,73 +180,64 @@ def _delayed_input(u: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
-    """Run one channel over a sampled CT input, returning z on the same grid."""
-    if spec.kind != "ct":
-        raise ValueError("channel is not a CT channel")
-    if u.kind != "ct" or not u.is_scalar:
-        raise ValueError("input must be a scalar CT trajectory")
-    grid = u.grid
-    h = grid.step
-    times = grid.times()
-    uv = u.values
-    lag = _delay_steps(spec.delay, h)
-    u_del = _delayed_input(uv, lag)
+def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndarray:
+    """Channel output for every column of ``U`` (shape ``(count, c)``).
 
-    d_tab = _coefficient_table(spec.d, times, ())
-    mu_tab = _coefficient_table(spec.delay_gain, times, ())
-    z = d_tab * uv + mu_tab * u_del
+    The coefficients are tabulated once for all columns. The state advances
+    by one affine map per step, composed by :func:`affine_scan`: the
+    held-coefficient RK4 map for a CT channel, the exact map
+    ``(A(k), b(k) u(k))`` for a DT one.
+    """
+    # each column contiguous in time, so the scan's passes run long inner loops
+    U = np.asfortranarray(U)
+    if spec.kind == "ct":
+        args, lag = grid.times(), _delay_steps(spec.delay, grid.step)
+    else:
+        args, lag = np.arange(grid.count), int(spec.delay)
+    d = _coefficient_table(spec.d, args, (1,))
+    mu = _coefficient_table(spec.delay_gain, args, (1,))
+    Z = d * U + mu * _delayed_input(U, lag)
     if spec.n == 0:
-        return Trajectory(grid, z, "ct")
+        return Z
 
-    A_tab = _coefficient_table(spec.A, times, (spec.n, spec.n))
-    b_tab = _coefficient_table(spec.b, times, (spec.n,))
-    c_tab = _coefficient_table(spec.c, times, (spec.n,))
+    A = _coefficient_table(spec.A, args, (spec.n, spec.n))[:-1]
+    b = _coefficient_table(spec.b, args, (spec.n,))[:-1]
+    c = _coefficient_table(spec.c, args, (spec.n,))
+
+    def step_maps(A, force):
+        if spec.kind == "dt":
+            return A, force
+        return rk4_affine(A, A, A, force, force, force, grid.step)
 
     if spec.n == 1:
-        # scalar state: elementwise maps, the same arithmetic as kre_ct
-        A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], spec.x0[0]
-    else:
-        A, force, x0 = A_tab[:-1], b_tab[:-1] * uv[:-1, None], spec.x0
-    xs = affine_scan(*rk4_affine(A, A, A, force, force, force, h), x0)
-    z = z + np.einsum("ki,ki->k", c_tab, xs.reshape(grid.count, spec.n))
-    return Trajectory(grid, z, "ct")
+        # scalar state: one elementwise scan over every column, the same
+        # arithmetic as kre_ct; einsum sums c x from +0 like the per-column
+        # einsum below, so signed zeros come out the same for every n
+        X = affine_scan(*step_maps(A[:, 0], b * U[:-1]), spec.x0[0])
+        return Z + np.einsum("ki,kc->kc", c, X)
+    for j in range(U.shape[1]):
+        X = affine_scan(*step_maps(A, b * U[:-1, j, None]), spec.x0)
+        Z[:, j] += np.einsum("ki,ki->k", c, X)
+    return Z
+
+
+def _check_input(spec: LtvChannelSpec, u: Trajectory, kind: SignalKind) -> None:
+    if spec.kind != kind:
+        raise ValueError(f"channel is not a {kind.upper()} channel")
+    if u.kind != kind or not u.is_scalar:
+        raise ValueError(f"input must be a scalar {kind.upper()} trajectory")
+
+
+def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
+    """Run one channel over a sampled CT input, returning z on the same grid."""
+    _check_input(spec, u, "ct")
+    return u.with_values(_run_channel(spec, u.grid, u.values[:, None])[:, 0])
 
 
 def apply_channel_dt(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
-    """Run one channel over a DT input by the exact state recursion."""
-    if spec.kind != "dt":
-        raise ValueError("channel is not a DT channel")
-    if u.kind != "dt" or not u.is_scalar:
-        raise ValueError("input must be a scalar DT trajectory")
-    grid = u.grid
-    ks = np.arange(grid.count)
-    uv = u.values
-    lag = int(round(spec.delay))
-    u_del = _delayed_input(uv, lag)
-
-    d_tab = _coefficient_table(spec.d, ks, ())
-    mu_tab = _coefficient_table(spec.delay_gain, ks, ())
-    z = d_tab * uv + mu_tab * u_del
-    if spec.n == 0:
-        return Trajectory(grid, z, "dt")
-
-    A_tab = _coefficient_table(spec.A, ks, (spec.n, spec.n))
-    b_tab = _coefficient_table(spec.b, ks, (spec.n,))
-    c_tab = _coefficient_table(spec.c, ks, (spec.n,))
-
-    x = spec.x0.copy()
-    xs = np.empty((grid.count, spec.n))
-    xs[0] = x
-    for k in range(grid.count - 1):
-        x = A_tab[k] @ x + b_tab[k] * uv[k]
-        xs[k + 1] = x
-    z = z + np.einsum("ki,ki->k", c_tab, xs)
-    return Trajectory(grid, z, "dt")
-
-
-def _apply(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
-    return apply_channel_ct(spec, u) if spec.kind == "ct" else apply_channel_dt(spec, u)
+    """Run one channel over a sampled DT input, returning z on the same grid."""
+    _check_input(spec, u, "dt")
+    return u.with_values(_run_channel(spec, u.grid, u.values[:, None])[:, 0])
 
 
 def extend(bank: OperatorBank, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, Trajectory]:
@@ -250,7 +245,7 @@ def extend(bank: OperatorBank, y: Trajectory, phi: Trajectory) -> tuple[Trajecto
 
     Row i of Phi holds channel i applied to each component of phi, so when
     y = phi.theta holds sample-wise the output satisfies Y = Phi theta up to
-    channel transients.
+    channel transients. Each channel runs once over the columns ``[y | phi]``.
     """
     if not y.is_scalar or not phi.is_vector:
         raise ValueError("extend expects scalar y and vector phi")
@@ -261,15 +256,9 @@ def extend(bank: OperatorBank, y: Trajectory, phi: Trajectory) -> tuple[Trajecto
     m = phi.dim
     if bank.m != m:
         raise ValueError(f"bank has {bank.m} channels but phi has dimension {m}")
-    count = y.grid.count
-    Y = np.empty((count, m))
-    Phi = np.empty((count, m, m))
-    for i, ch in enumerate(bank.channels):
-        Y[:, i] = _apply(ch, y).values
-        for j in range(m):
-            comp = Trajectory(phi.grid, phi.values[:, j], phi.kind)
-            Phi[:, i, j] = _apply(ch, comp).values
-    return Trajectory(y.grid, Y, y.kind), Trajectory(y.grid, Phi, y.kind)
+    U = np.column_stack([y.values, phi.values])
+    Z = np.stack([_run_channel(ch, y.grid, U) for ch in bank.channels], axis=1)
+    return y.with_values(Z[:, :, 0]), y.with_values(Z[:, :, 1:])
 
 
 def sliding_window_phi(
@@ -384,8 +373,6 @@ def channel_gain_bound(spec: LtvChannelSpec, grid: TimeGrid) -> float:
     this kernel, so the value bounds |z| for any input with |u| <= 1 run over
     the same grid.
     """
-    pulse = np.zeros(grid.count)
+    pulse = np.zeros((grid.count, 1))
     pulse[0] = 1.0
-    u = Trajectory(grid, pulse, spec.kind)
-    response = _apply(spec, u).values
-    return float(np.sum(np.abs(response)))
+    return float(np.sum(np.abs(_run_channel(spec, grid, pulse))))

@@ -213,27 +213,29 @@ class ThetaSchedule:
         return self.pieces[0].value.shape[0]
 
     def value_at(self, t: float) -> np.ndarray:
+        return self._values(np.array([t], dtype=float))[0]
+
+    def _values(self, times: np.ndarray) -> np.ndarray:
+        """The profile at every entry of ``times``, one m-vector per row.
+
+        Each piece fills the samples it covers with ``value + slope*(t -
+        start)`` in one array expression; samples before the first start
+        take the first piece.
+        """
         starts = np.array([p.start for p in self.pieces])
-        idx = int(np.searchsorted(starts, t, side="right")) - 1
-        idx = max(idx, 0)
-        piece = self.pieces[idx]
-        if piece.slope is None:
-            return piece.value.copy()
-        return piece.value + piece.slope * (t - piece.start)
+        idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
+        out = np.empty((len(times), self.dim))
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if piece.slope is None:
+                out[mask] = piece.value
+            else:
+                out[mask] = piece.value + piece.slope * (times[mask, None] - piece.start)
+        return out
 
 
 def sample_schedule(
     sched: ThetaSchedule, grid: TimeGrid, kind: SignalKind = "ct"
 ) -> Trajectory:
     """Sample a parameter schedule on a grid, one m-vector per grid time."""
-    times = grid.times()
-    starts = np.array([p.start for p in sched.pieces])
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
-    out = np.empty((grid.count, sched.dim))
-    for k, (t, i) in enumerate(zip(times, idx)):
-        piece = sched.pieces[int(i)]
-        if piece.slope is None:
-            out[k] = piece.value
-        else:
-            out[k] = piece.value + piece.slope * (t - piece.start)
-    return Trajectory(grid, out, kind)
+    return Trajectory(grid, sched._values(grid.times()), kind)

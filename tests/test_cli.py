@@ -556,6 +556,12 @@ class TestCheckPe:
         assert "energy" in out
         assert "window, alpha_hat" in out
 
+    def test_counterexample_accepts_its_dt_domain(self, tmp_path, capsys):
+        signal = {"kind": "counterexample", "domain": "dt", "horizon": 500}
+        cfg = write_config(tmp_path, {"signal": signal, "max_window": 2})
+        assert main(["check-pe", "--config", cfg]) == 0
+        assert "counterexample suite, horizon 500" in capsys.readouterr().out
+
     def test_malformed_config_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"signal": {"kind": "mystery"}})
         assert main(["check-pe", "--config", cfg]) == 1
@@ -574,6 +580,9 @@ class TestCheckPe:
             ("out_dir", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "out_dir": ["x"]}),
             ("signal.domain", {"signal": {"kind": "sinusoid-pair", "domain": "dt"}, "window": 2 * np.pi}),
             ("signal.domain", {"signal": {"kind": "zero", "domain": "ctt", "horizon": 1.0}, "window": 0.5}),
+            ("signal.domain", {"signal": {"kind": "counterexample", "domain": "bogus", "horizon": 100}}),
+            ("signal.domain", {"signal": {"kind": "counterexample", "domain": "ct", "horizon": 100}}),
+            ("signal.kind", {"signal": {"kind": ["zero"], "horizon": 1.0}, "window": 0.5}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):

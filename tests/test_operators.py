@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from dremkit.operators import (
     OperatorBank,
     SlidingWindowSpec,
     _coefficient_table,
+    _delay_steps,
+    _delayed_input,
     apply_channel_ct,
     apply_channel_dt,
     channel_gain_bound,
@@ -17,6 +21,7 @@ from dremkit.operators import (
     kre_ct,
     sliding_window_phi,
 )
+from dremkit.integrate import affine_scan, rk4_affine
 from dremkit.scenarios import Constant, Sinusoid
 from dremkit.signals import TimeGrid, Trajectory
 
@@ -47,6 +52,17 @@ class TestChannelConstruction:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             LtvChannelSpec(n=0, d=1.0, delay=-1.0)
+
+    @pytest.mark.parametrize("delay", [2.5, 1.5, 0.25, float("inf"), float("nan")])
+    def test_fractional_dt_delay_rejected(self, delay):
+        # a DT delay counts steps; 2.5 and 1.5 used to both become 2
+        with pytest.raises(ValueError, match="whole number of steps"):
+            LtvChannelSpec(n=0, delay_gain=1.0, delay=delay, kind="dt")
+
+    def test_whole_dt_delay_as_float_accepted(self):
+        u = dt_traj([1.0, 2.0, 3.0, 4.0])
+        spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=2.0, kind="dt")
+        np.testing.assert_array_equal(apply_channel_dt(spec, u).values, [0.0, 0.0, 1.0, 2.0])
 
 
 class TestApplyChannelCt:
@@ -333,3 +349,192 @@ class TestArrayEvaluatedCoefficients:
         ks = np.arange(500)
         signal = Sinusoid(1.5, 0.3, -0.2)
         np.testing.assert_array_equal(_coefficient_table(signal, ks, ()), [signal(k) for k in ks])
+
+
+# Tests-only copies of the earlier per-kind channel bodies and of the
+# per-component extend loop; the shared channel runner must reproduce them.
+
+
+def reference_apply_channel_ct(spec, u):
+    grid = u.grid
+    h = grid.step
+    times = grid.times()
+    uv = u.values
+    u_del = _delayed_input(uv, _delay_steps(spec.delay, h))
+    d_tab = _coefficient_table(spec.d, times, ())
+    mu_tab = _coefficient_table(spec.delay_gain, times, ())
+    z = d_tab * uv + mu_tab * u_del
+    if spec.n == 0:
+        return Trajectory(grid, z, "ct")
+    A_tab = _coefficient_table(spec.A, times, (spec.n, spec.n))
+    b_tab = _coefficient_table(spec.b, times, (spec.n,))
+    c_tab = _coefficient_table(spec.c, times, (spec.n,))
+    if spec.n == 1:
+        A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], spec.x0[0]
+    else:
+        A, force, x0 = A_tab[:-1], b_tab[:-1] * uv[:-1, None], spec.x0
+    xs = affine_scan(*rk4_affine(A, A, A, force, force, force, h), x0)
+    z = z + np.einsum("ki,ki->k", c_tab, xs.reshape(grid.count, spec.n))
+    return Trajectory(grid, z, "ct")
+
+
+def reference_apply_channel_dt(spec, u):
+    grid = u.grid
+    ks = np.arange(grid.count)
+    uv = u.values
+    u_del = _delayed_input(uv, int(round(spec.delay)))
+    d_tab = _coefficient_table(spec.d, ks, ())
+    mu_tab = _coefficient_table(spec.delay_gain, ks, ())
+    z = d_tab * uv + mu_tab * u_del
+    if spec.n == 0:
+        return Trajectory(grid, z, "dt")
+    A_tab = _coefficient_table(spec.A, ks, (spec.n, spec.n))
+    b_tab = _coefficient_table(spec.b, ks, (spec.n,))
+    c_tab = _coefficient_table(spec.c, ks, (spec.n,))
+    x = spec.x0.copy()
+    xs = np.empty((grid.count, spec.n))
+    xs[0] = x
+    for k in range(grid.count - 1):
+        x = A_tab[k] @ x + b_tab[k] * uv[k]
+        xs[k + 1] = x
+    z = z + np.einsum("ki,ki->k", c_tab, xs)
+    return Trajectory(grid, z, "dt")
+
+
+def reference_extend(bank, y, phi):
+    apply = reference_apply_channel_ct if bank.kind == "ct" else reference_apply_channel_dt
+    count, m = phi.values.shape
+    Y = np.empty((count, m))
+    Phi = np.empty((count, m, m))
+    for i, ch in enumerate(bank.channels):
+        Y[:, i] = apply(ch, y).values
+        for j in range(m):
+            Phi[:, i, j] = apply(ch, Trajectory(phi.grid, phi.values[:, j], phi.kind)).values
+    return Trajectory(y.grid, Y, y.kind), Trajectory(y.grid, Phi, y.kind)
+
+
+def random_channel(rng, kind, n, style, lag, step):
+    """A stable channel with a delay tap of ``lag`` steps and a non-zero x0.
+
+    ``style`` picks the coefficients: constants, plain callables (called
+    once per sample) or named ``Sinusoid`` signals (evaluated on the whole
+    array). ``A`` is constant or a positively scaled constant, so it stays
+    stable; vector ``b`` and ``c`` of a Sinusoid channel are callables.
+    """
+
+    def scalar():
+        return float(rng.uniform(-2.0, 2.0))
+
+    def coefficient(shape=()):
+        value, w = rng.uniform(-2.0, 2.0, size=shape), float(rng.uniform(0.1, 5.0))
+        if style == "constant":
+            return value if shape else float(value)
+        if style == "sinusoid" and not shape:
+            return Sinusoid(scalar(), w, scalar())
+        return lambda t: value * math.cos(w * t)
+
+    fields = dict(d=coefficient(), delay_gain=coefficient(), delay=lag * step, kind=kind)
+    if n == 0:
+        return LtvChannelSpec(n=0, **fields)
+    R = rng.normal(size=(n, n))
+    radius = np.abs(np.linalg.eigvals(R)).max()
+    if kind == "ct":
+        A0 = R - (radius + rng.uniform(0.5, 3.0)) * np.eye(n)
+    else:
+        A0 = rng.uniform(0.1, 0.9) * R / radius
+    A = A0 if style == "constant" else lambda t: A0 * (1.0 + 0.05 * math.sin(t))
+    shape = (n,) if n > 1 else ()
+    return LtvChannelSpec(
+        n=n, A=A, b=coefficient(shape), c=coefficient(shape),
+        x0=rng.normal(size=n), **fields,
+    )
+
+
+def random_bank(seed, kind, ns, style, count):
+    rng = np.random.default_rng(seed)
+    step = 1e-2 if kind == "ct" else 1.0
+    m = len(ns)
+    grid = TimeGrid(0.0, step, count)
+    phi = Trajectory(grid, rng.normal(size=(count, m)), kind)
+    y = Trajectory(grid, rng.normal(size=count), kind)
+    lags = rng.integers(0, max(count, 2), size=m)
+    bank = OperatorBank(
+        tuple(random_channel(rng, kind, n, style, int(lag), step) for n, lag in zip(ns, lags))
+    )
+    return bank, y, phi
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+bank_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    style=st.sampled_from(["constant", "callable", "sinusoid"]),
+)
+
+
+class TestSharedChannelRunner:
+    """CT channels reproduce the earlier per-kind bodies bit for bit, sign
+    bits included; DT channels compose their exact step maps by a scan and
+    match the sample-by-sample recursion to rounding."""
+
+    @given(count=st.sampled_from([1, 2, 3, 7, 64, 100, 301]), **bank_cases)
+    @settings(max_examples=40)
+    def test_ct_bank_bit_identical_to_reference(self, seed, ns, style, count):
+        bank, y, phi = random_bank(seed, "ct", ns, style, count)
+        Y, Phi = extend(bank, y, phi)
+        Yr, Phir = reference_extend(bank, y, phi)
+        np.testing.assert_array_equal(bits(Y.values), bits(Yr.values))
+        np.testing.assert_array_equal(bits(Phi.values), bits(Phir.values))
+        for ch in bank.channels:
+            z = apply_channel_ct(ch, y)
+            np.testing.assert_array_equal(bits(z.values), bits(reference_apply_channel_ct(ch, y).values))
+            pulse = Trajectory(y.grid, np.eye(1, count)[0], "ct")
+            ref_bound = float(np.sum(np.abs(reference_apply_channel_ct(ch, pulse).values)))
+            assert channel_gain_bound(ch, y.grid) == ref_bound
+
+    @given(count=st.sampled_from([1, 2, 3, 5, 6, 7, 100, 129, 301]), **bank_cases)
+    @settings(max_examples=40)
+    def test_dt_bank_matches_sequential_recursion(self, seed, ns, style, count):
+        bank, y, phi = random_bank(seed, "dt", ns, style, count)
+        Y, Phi = extend(bank, y, phi)
+        Yr, Phir = reference_extend(bank, y, phi)
+        for new, ref in ((Y.values, Yr.values), (Phi.values, Phir.values)):
+            scale = max(np.abs(ref).max(), 1e-300)
+            assert np.abs(new - ref).max() <= 1e-12 * scale
+        for ch in bank.channels:
+            z, zr = apply_channel_dt(ch, y).values, reference_apply_channel_dt(ch, y).values
+            assert np.abs(z - zr).max() <= 1e-12 * max(np.abs(zr).max(), 1e-300)
+            if ch.n == 0:
+                # no state: the same arithmetic, bit for bit
+                np.testing.assert_array_equal(bits(z), bits(zr))
+
+    def test_signed_zeros_match_reference(self):
+        # zero feedthrough on a negative input gives -0.0, and so does a
+        # negative c on a zero state; their sum must keep the earlier sign
+        grid = TimeGrid(0.0, 1e-2, 6)
+        y = Trajectory(grid, [-1.0, -0.0, 0.0, -2.0, 1.0, -0.0], "ct")
+        phi = Trajectory(grid, -np.abs(np.arange(12.0).reshape(6, 2)), "ct")
+        bank = OperatorBank(
+            (
+                LtvChannelSpec(n=1, A=-1.0, b=0.0, c=-1.0),
+                LtvChannelSpec(n=2, A=-np.eye(2), b=[0.0, 1.0], c=[-1.0, 0.5], delay_gain=0.0, delay=0.02),
+            )
+        )
+        for new, ref in zip(extend(bank, y, phi), reference_extend(bank, y, phi)):
+            np.testing.assert_array_equal(bits(new.values), bits(ref.values))
+        assert np.signbit(reference_extend(bank, y, phi)[0].values).any()
+
+    def test_callable_coefficient_tabulated_once_per_channel(self):
+        calls = []
+
+        def b(t):
+            calls.append(t)
+            return 1.0
+
+        grid = TimeGrid(0.0, 1e-2, 50)
+        bank = OperatorBank((LtvChannelSpec(n=1, A=-1.0, b=b, c=1.0),) * 3)
+        extend(bank, Trajectory(grid, np.ones(50), "ct"), Trajectory(grid, np.ones((50, 3)), "ct"))
+        assert len(calls) == 3 * 50

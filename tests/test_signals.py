@@ -121,6 +121,37 @@ class TestSchedule:
         traj = sample_schedule(sched, grid)
         np.testing.assert_array_equal(traj.values[0], sched.value_at(t))
 
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            tracking_profile(),
+            ThetaSchedule(
+                (
+                    SchedulePiece(2.0, [1.0, -2.0], slope=[0.25, -0.1]),
+                    SchedulePiece(12.5, [3.0, 4.0]),
+                    SchedulePiece(27.3, [-1.0, 0.5], slope=[-0.3, 1.7]),
+                )
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("grid", [TimeGrid(0.0, 1e-3, 40_001), TimeGrid(-0.7, 0.37, 112)])
+    def test_grid_across_every_boundary_matches_pointwise(self, sched, grid):
+        # the vectorised sampler keeps each sample's expression, so it equals
+        # value_at and the earlier per-sample loop bit for bit
+        times = grid.times()
+        assert times[0] <= sched.pieces[0].start and times[-1] > sched.pieces[-1].start
+        traj = sample_schedule(sched, grid)
+        starts = np.array([p.start for p in sched.pieces])
+        idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
+        loop = np.empty_like(traj.values)
+        for k, (t, i) in enumerate(zip(times, idx)):
+            piece = sched.pieces[int(i)]
+            loop[k] = piece.value if piece.slope is None else piece.value + piece.slope * (t - piece.start)
+        np.testing.assert_array_equal(traj.values.view(np.int64), loop.view(np.int64))
+        every = slice(None, None, 97)
+        pointwise = np.array([sched.value_at(float(t)) for t in times[every]])
+        np.testing.assert_array_equal(traj.values[every].view(np.int64), pointwise.view(np.int64))
+
     def test_strictly_increasing_starts_required(self):
         with pytest.raises(ValueError):
             ThetaSchedule((SchedulePiece(0.0, 1.0), SchedulePiece(0.0, 2.0)))
