@@ -136,9 +136,12 @@ def parse_bank(cfg: dict) -> OperatorBank:
 
 def _number(value, field: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise _fail(field, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _numbers(value, field: str) -> np.ndarray:

@@ -15,6 +15,7 @@ growth envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -44,17 +45,25 @@ class PeReport:
 
 
 def _as_vector_values(phi: Trajectory) -> np.ndarray:
-    if phi.is_scalar:
-        return phi.values[:, None]
-    if phi.is_vector:
-        return phi.values
-    raise ValueError("phi must be a scalar or vector trajectory")
+    if not (phi.is_scalar or phi.is_vector):
+        raise ValueError("phi must be a scalar or vector trajectory")
+    if not np.all(np.isfinite(phi.values)):
+        raise ValueError("phi has non-finite samples")
+    return phi.values[:, None] if phi.is_scalar else phi.values
 
 
-def _window_min_eigs(grams: np.ndarray) -> np.ndarray:
-    if grams.shape[1] == 1:
-        return grams[:, 0, 0].copy()
-    return np.linalg.eigvalsh(grams)[:, 0]
+def _report(window, threshold: float, grams: np.ndarray, times: np.ndarray) -> PeReport:
+    """Certificate from the windowed Gramians, one per start time."""
+    eigs = grams[:, 0, 0].copy() if grams.shape[1] == 1 else np.linalg.eigvalsh(grams)[:, 0]
+    alpha = float(eigs.min())
+    return PeReport(
+        window=window,
+        threshold=threshold,
+        alpha_hat=alpha,
+        is_pe=bool(alpha > threshold),
+        min_eigenvalues=eigs,
+        start_times=times[: len(eigs)],
+    )
 
 
 def pe_check_ct(
@@ -70,16 +79,40 @@ def pe_check_ct(
         raise ValueError("horizon must cover at least two windows")
     outer = np.einsum("ki,kj->kij", vals, vals)
     grams = lagged_difference(cumulative_simpson(outer, phi.grid.step), lag)[lag:]
-    eigs = _window_min_eigs(grams)
-    alpha = float(eigs.min())
-    return PeReport(
-        window=window,
-        threshold=threshold,
-        alpha_hat=alpha,
-        is_pe=bool(alpha > threshold),
-        min_eigenvalues=eigs,
-        start_times=phi.times()[: len(eigs)],
-    )
+    return _report(window, threshold, grams, phi.times())
+
+
+def _whole_window(window) -> int:
+    if isinstance(window, bool) or not isinstance(window, Real) or not float(window).is_integer():
+        raise ValueError(f"window must be a whole number of samples, got {window!r}")
+    return int(window)
+
+
+def _pe_scan_dt(phi: Trajectory, windows, threshold: float):
+    """Yield one ``PeReport`` per distinct window, in ascending order.
+
+    One sums buffer serves the whole sweep: S_1 = outer[1:] and
+    S_K = S_{K-1}[:-1] + outer[K:], added in place, so a sweep up to Kmax
+    costs O(N Kmax) and holds one window's sums at a time.
+    """
+    if phi.kind != "dt":
+        raise ValueError("pe_check_dt expects a DT trajectory")
+    vals = _as_vector_values(phi)
+    n, m = vals.shape
+    windows = sorted({_whole_window(w) for w in windows})
+    if windows and windows[0] < m:
+        raise ValueError(f"window {windows[0]} must be at least the dimension {m}")
+    if windows and n < windows[-1] + 1:
+        raise ValueError("record too short for this window")
+    outer = np.einsum("ki,kj->kij", vals, vals)
+    times = phi.times()
+    sums, filled = outer[1:].copy(), 1
+    for window in windows:
+        for K in range(filled + 1, window + 1):
+            sums = sums[:-1]
+            sums += outer[K:]
+        filled = window
+        yield _report(window, threshold, sums, times)
 
 
 def pe_check_dt(
@@ -87,35 +120,7 @@ def pe_check_dt(
 ) -> PeReport:
     """Exact windowed sums over every admissible start, windows
     [k+1, k+K] for starts k with the window inside the record."""
-    if phi.kind != "dt":
-        raise ValueError("pe_check_dt expects a DT trajectory")
-    vals = _as_vector_values(phi)
-    m = vals.shape[1]
-    window = int(window)
-    if window < m:
-        raise ValueError(f"window {window} must be at least the dimension {m}")
-    n = vals.shape[0]
-    if n < window + 1:
-        raise ValueError("record too short for this window")
-    if m == 1:
-        sq = vals[:, 0] ** 2
-        sums = np.lib.stride_tricks.sliding_window_view(sq[1:], window).sum(axis=-1)
-        eigs = sums
-    else:
-        outer = np.einsum("ki,kj->kij", vals, vals)
-        stacked = np.lib.stride_tricks.sliding_window_view(
-            outer[1:], window, axis=0
-        ).sum(axis=-1)
-        eigs = _window_min_eigs(stacked)
-    alpha = float(eigs.min())
-    return PeReport(
-        window=window,
-        threshold=threshold,
-        alpha_hat=alpha,
-        is_pe=bool(alpha > threshold),
-        min_eigenvalues=eigs,
-        start_times=phi.times()[: len(eigs)],
-    )
+    return next(_pe_scan_dt(phi, [window], threshold))
 
 
 def energy_exceeds(energy: Trajectory, envelope, t_min: float | None = None) -> bool:
@@ -167,6 +172,8 @@ def counterexample_suite(
     from .operators import SlidingWindowSpec, sliding_window_phi
     from .signals import TimeGrid
 
+    if max_window < 1:
+        raise ValueError(f"max_window must be at least 1, got {max_window}")
     grid = TimeGrid(t0=0.0, step=1.0, count=horizon)
     k = np.arange(horizon)
     phi_vals = (k + 1.0) ** -0.25
@@ -176,8 +183,8 @@ def counterexample_suite(
     mixed = mix(Y, Phi)
 
     alpha_by_window = {
-        K: pe_check_dt(phi, K, threshold).alpha_hat
-        for K in range(1, max_window + 1)
+        report.window: report.alpha_hat
+        for report in _pe_scan_dt(phi, range(1, max_window + 1), threshold)
     }
     all_below = all(a < threshold for a in alpha_by_window.values())
 

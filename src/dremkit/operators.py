@@ -87,6 +87,8 @@ class LtvChannelSpec:
             raise ValueError("delay must be nonnegative")
         if self.kind == "dt" and not float(self.delay).is_integer():
             raise ValueError(f"a DT delay is a whole number of steps, got {self.delay}")
+        if not np.isfinite(self.delay):
+            raise ValueError(f"delay must be finite, got {self.delay}")
         if self.n > 0:
             for name in ("A", "b", "c"):
                 if getattr(self, name) is None:

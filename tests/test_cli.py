@@ -349,6 +349,8 @@ class TestSimulate:
             ("custom", "out_dir", 5, "'out_dir'"),
             ("ftc", "out_dir", ["x"], "'out_dir'"),
             ("ftc", "ftc", {"delay_window": "inf"}, "delay_window"),
+            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "inf"}]}, "'bank.channels[0]'"),
+            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "nan"}]}, "'bank.channels[0]'"),
         ],
     )
     def test_rejected_section_or_value_exits_1(self, tmp_path, capsys, base, section, value, field):
@@ -588,6 +590,35 @@ class TestCheckPe:
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):
         assert main(["check-pe", "--config", write_config(tmp_path, payload)]) == 1
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_window", [0, -3])
+    def test_counterexample_without_windows_exits_1(self, tmp_path, capsys, max_window):
+        # an empty scan would report "all windows below threshold: True"
+        signal = {"kind": "counterexample", "horizon": 100}
+        cfg = write_config(tmp_path, {"signal": signal, "max_window": max_window})
+        assert main(["check-pe", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "max_window" in captured.err
+        assert "all windows below threshold" not in captured.out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("inf")])
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("threshold", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5}),
+            ("window", {"signal": {"kind": "zero", "horizon": 1.0}}),
+            ("signal.step", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5}),
+            ("signal.horizon", {"signal": {"kind": "zero"}, "window": 0.5}),
+        ],
+    )
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, field, payload, value):
+        cfg = json.loads(json.dumps(payload))
+        section, _, key = field.rpartition(".")
+        (cfg[section] if section else cfg)[key] = value
+        assert main(["check-pe", "--config", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert repr(field) in captured.err and "finite" in captured.err
+        assert "verdict" not in captured.out
 
 
 def test_resolve_out_dir_priority(tmp_path, monkeypatch):

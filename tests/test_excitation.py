@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dremkit.excitation import (
+    _pe_scan_dt,
     counterexample_suite,
     cumulative_energy,
     energy_exceeds,
@@ -89,6 +90,30 @@ class TestPeCheckDt:
             assert report.alpha_hat == pytest.approx(n ** -0.5, rel=1e-3)
         assert not pe_check_dt(self.make((np.arange(100_000) + 1.0) ** -0.25), 1, threshold=0.01).is_pe
 
+    @pytest.mark.parametrize("window", [2.7, 1.5, True, np.bool_(True), "2", float("inf")])
+    def test_window_that_is_not_whole_rejected(self, window):
+        # 2.7 used to run K = 2 and True K = 1, with no warning
+        with pytest.raises(ValueError, match="whole number"):
+            pe_check_dt(self.make(np.ones(20)), window)
+
+    def test_whole_float_window_accepted(self):
+        report = pe_check_dt(self.make(np.ones(20)), 3.0)
+        assert report.window == 3 and isinstance(report.window, int)
+        assert report.alpha_hat == 3.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # a NaN used to give alpha_hat = nan and the verdict "not PE"
+        vals = np.ones((20, 2))
+        vals[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pe_check_dt(self.make(vals), 2)
+        grid = TimeGrid.from_horizon(1.0, 1e-2)
+        ct_vals = np.ones(grid.count)
+        ct_vals[30] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pe_check_ct(Trajectory(grid, ct_vals, "ct"), 0.2)
+
     def test_window_below_dimension_rejected(self, rng):
         vals = rng.normal(size=(20, 2))
         with pytest.raises(ValueError):
@@ -104,6 +129,58 @@ class TestPeCheckDt:
         phi = Trajectory(grid, vals, "dt")
         alphas = [pe_check_dt(phi, K).alpha_hat for K in (2, 3, 5, 9)]
         assert all(b >= a - 1e-12 for a, b in zip(alphas, alphas[1:]))
+
+
+class TestPeScanDt:
+    """The one-pass sweep against brute-force window sums."""
+
+    @staticmethod
+    def brute_force_min_eigs(vals, K):
+        outer = np.einsum("ki,kj->kij", vals, vals)
+        grams = np.array([outer[k + 1 : k + K + 1].sum(axis=0) for k in range(len(vals) - K)])
+        return np.linalg.eigvalsh(grams)[:, 0]
+
+    @given(
+        m=st.sampled_from([1, 2, 3]),
+        n=st.integers(4, 80),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_brute_force_sums(self, m, n, seed, scale, data):
+        rng = np.random.default_rng(seed)
+        vals = scale * rng.normal(size=(n, m))
+        windows = data.draw(st.lists(st.integers(m, n - 1), min_size=1, max_size=6))
+        grid = TimeGrid(0.0, 1.0, n)
+        phi = Trajectory(grid, vals[:, 0] if m == 1 else vals, "dt")
+        reports = list(_pe_scan_dt(phi, windows, 1e-3))
+        assert [r.window for r in reports] == sorted(set(windows))
+        peak = float(np.max(np.sum(vals * vals, axis=1)))
+        for report in reports:
+            K = report.window
+            np.testing.assert_allclose(
+                report.min_eigenvalues, self.brute_force_min_eigs(vals, K), rtol=0, atol=1e-12 * K * peak
+            )
+            np.testing.assert_array_equal(report.start_times, grid.times()[: n - K])
+            single = pe_check_dt(phi, K)
+            np.testing.assert_array_equal(single.min_eigenvalues, report.min_eigenvalues)
+            assert single.alpha_hat == report.alpha_hat
+
+    @given(horizon=st.integers(101, 3_000), max_window=st.integers(1, 100))
+    @settings(max_examples=15, deadline=None)
+    def test_suite_alphas_equal_single_window_checks(self, horizon, max_window):
+        report = counterexample_suite(horizon=horizon, max_window=max_window)
+        k = np.arange(horizon)
+        phi = Trajectory(TimeGrid(0.0, 1.0, horizon), ((k + 1.0) ** -0.25)[:, None], "dt")
+        assert list(report.alpha_by_window) == list(range(1, max_window + 1))
+        for K, alpha in report.alpha_by_window.items():
+            assert alpha == pe_check_dt(phi, K).alpha_hat
+
+    def test_record_too_short_for_the_largest_window(self):
+        phi = Trajectory(TimeGrid(0.0, 1.0, 10), np.ones(10), "dt")
+        with pytest.raises(ValueError, match="too short"):
+            next(_pe_scan_dt(phi, [2, 10], 1e-3))
 
 
 class TestCumulativeEnergy:
@@ -168,6 +245,12 @@ class TestCounterexampleSuite:
         # forward direction: excited signal, linearly growing mixed energy
         assert report.forward_alpha == pytest.approx(1.0)
         assert report.forward_energy_linear
+
+    @pytest.mark.parametrize("max_window", [0, -1])
+    def test_no_windows_rejected(self, max_window):
+        # all([]) would report every window below the threshold
+        with pytest.raises(ValueError, match="max_window"):
+            counterexample_suite(horizon=200, max_window=max_window)
 
     def test_alpha_at_horizon_matches_tail_sum(self):
         # the worst window is the one ending at the horizon

@@ -59,6 +59,12 @@ class TestChannelConstruction:
         with pytest.raises(ValueError, match="whole number of steps"):
             LtvChannelSpec(n=0, delay_gain=1.0, delay=delay, kind="dt")
 
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+    def test_non_finite_ct_delay_rejected(self, delay):
+        # rounding it to grid steps used to fail only once the channel ran
+        with pytest.raises(ValueError, match="delay must be finite"):
+            LtvChannelSpec(n=0, delay_gain=1.0, delay=delay, kind="ct")
+
     def test_whole_dt_delay_as_float_accepted(self):
         u = dt_traj([1.0, 2.0, 3.0, 4.0])
         spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=2.0, kind="dt")
