@@ -12,7 +12,8 @@ numerical failure. Output locations resolve as --out flag, then the config's
 "out_dir", then the DREMKIT_OUT_DIR environment variable.
 
 CSV values are written with 17 significant digits, which round-trips IEEE
-doubles exactly.
+doubles exactly. ``write_csv`` formats a fixed block of rows at a time with
+one ``%``; the bytes are those ``np.savetxt`` writes row by row.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ PRESETS = {
 }
 FIGURE_IDS = tuple(PRESETS)
 FLOAT_FMT = "%.17g"
+_CSV_BLOCK_ROWS = 128  # rows per `%` in write_csv; larger blocks cost memory and save no time
 
 
 class ConfigError(ValueError):
@@ -84,7 +86,7 @@ def named_signal(spec, field: str) -> Sinusoid | Constant:
     """Named time-varying entry: a bare number means a constant. ``field``
     names the entry in error messages."""
     if isinstance(spec, (int, float)):
-        return Constant(float(spec))
+        return Constant(_number(spec, field))
     if not isinstance(spec, dict):
         raise _fail(field, f"expected a number or a signal object, got {spec!r}")
     kind = _get(spec, "kind")
@@ -103,8 +105,10 @@ def _channel_entry(value, field: str):
     """Channel coefficient: constant number/matrix or a named signal."""
     if isinstance(value, dict):
         return named_signal(value, field)
-    if isinstance(value, (int, float, list)):
-        return value
+    if isinstance(value, list):
+        return _numbers(value, field)
+    if isinstance(value, (int, float)):
+        return _number(value, field)
     raise _fail(field, f"cannot interpret {value!r}")
 
 
@@ -135,6 +139,8 @@ def parse_bank(cfg: dict) -> OperatorBank:
 
 
 def _number(value, field: str) -> float:
+    if isinstance(value, bool):
+        raise _fail(field, f"expected a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -146,9 +152,14 @@ def _number(value, field: str) -> float:
 
 def _numbers(value, field: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        numbers = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a list of numbers, got {value!r}") from None
+    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
+        raise _fail(field, f"expected a list of numbers, got {value!r}")
+    if not np.isfinite(numbers).all():
+        raise _fail(field, f"expected finite numbers, got {value!r}")
+    return numbers
 
 
 def _positive(value, field: str) -> float:
@@ -216,13 +227,19 @@ def resolve_out_dir(flag_value: str | None, cfg: dict | None) -> Path:
 
 
 def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
-    """One header line, then one row per sample; CRLF line endings."""
+    """One header line, then one row per sample; CRLF line endings.
+
+    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time by one ``%`` over the
+    row template repeated for the block, which gives the bytes ``np.savetxt``
+    gives row by row; the block size bounds the memory this takes.
+    """
     table = np.column_stack(arrays)
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(
-            fh, table, fmt=FLOAT_FMT, delimiter=",", header=",".join(columns),
-            comments="", newline="\r\n",
-        )
+        fh.write(",".join(columns) + "\r\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     return len(table)
 
 

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dremkit.cli import (
+    _CSV_BLOCK_ROWS,
     FIGURE_IDS,
     FLOAT_FMT,
     ConfigError,
@@ -196,6 +199,35 @@ class TestCsvRoundTrip:
         assert not list((tmp_path / "o").iterdir())
 
 
+SPECIAL_DOUBLES = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, np.finfo(float).tiny / 3.0,
+    np.finfo(float).max, -np.finfo(float).max,
+]
+
+
+class TestBlockWriter:
+    """write_csv's block formatting against the row-by-row csv module writer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ncols=st.integers(1, 8),
+        nrows=st.sampled_from(
+            [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3]
+        ),
+        pool=st.lists(st.floats(), max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_the_row_writer(self, tmp_path_factory, ncols, nrows, pool, seed):
+        # each cell is one of the drawn doubles or a special value
+        values = np.array(pool + SPECIAL_DOUBLES)
+        arrays = list(values[np.random.default_rng(seed).integers(len(values), size=(ncols, nrows))])
+        columns = [f"c{k}" for k in range(ncols)]
+        out = tmp_path_factory.mktemp("block")
+        assert write_csv(out / "new.csv", columns, arrays) == nrows
+        reference_csv(out / "ref.csv", columns, arrays)
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
 class TestSimulate:
     def test_identify_outputs(self, tmp_path):
         cfg = write_config(tmp_path, IDENTIFY_CFG)
@@ -351,6 +383,13 @@ class TestSimulate:
             ("ftc", "ftc", {"delay_window": "inf"}, "delay_window"),
             ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "inf"}]}, "'bank.channels[0]'"),
             ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "nan"}]}, "'bank.channels[0]'"),
+            ("custom", "plant", {"a": -0.4, "b": 0.4, "input": True}, "'plant.input'"),
+            ("custom", "grid", {"step": True, "horizon": 0.2}, "'grid.step'"),
+            ("custom", "plant", {"a": -0.4, "b": 0.4, "input": np.nan}, "'plant.input'"),
+            ("custom", "estimator", {"theta_hat0": [np.nan, 0]}, "'estimator.theta_hat0'"),
+            ("custom", "bank", {"channels": [{"n": 0, "d": np.nan}]}, "'bank.channels[0]': config field 'd'"),
+            ("custom", "bank", {"channels": [{"n": 1, "A": -1.0, "b": 1.0, "c": [np.nan]}]},
+             "'bank.channels[0]': config field 'c'"),
         ],
     )
     def test_rejected_section_or_value_exits_1(self, tmp_path, capsys, base, section, value, field):
