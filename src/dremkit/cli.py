@@ -4,12 +4,13 @@ run manifest out.
 ``simulate`` and ``reproduce`` share one path: ``_run_study`` runs the
 study a config describes, and ``write_result`` writes one CSV per run plus
 ``summary.txt``; a preset only supplies its config and the rows it keeps.
-Scripts call ``write_result`` on their own study runs.
+Scripts call ``write_result`` on their own study runs. A field a config
+omits takes the library's default, and one that no study reads is an error.
 
-Exit codes: 0 = ran to completion, 1 = configuration error (a malformed
-field, or a value the library rejects with ValueError), 2 = runtime
-numerical failure. Output locations resolve as --out flag, then the config's
-"out_dir", then the DREMKIT_OUT_DIR environment variable.
+Exit codes: 0 = ran to completion, 1 = configuration error (a missing,
+unknown or malformed field, or a value the library rejects with ValueError),
+2 = runtime numerical failure. Output locations resolve as --out flag, then
+the config's "out_dir", then the DREMKIT_OUT_DIR environment variable.
 
 CSV values are written with 17 significant digits, which round-trips IEEE
 doubles exactly. ``write_csv`` formats a fixed block of rows at a time with
@@ -19,6 +20,7 @@ one ``%``; the bytes are those ``np.savetxt`` writes row by row.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,10 +39,11 @@ from .scenarios import (
     RegressorSpec,
     ScenarioResult,
     Sinusoid,
+    TRACKING_FTC,
     run_ftc_scenario,
     run_identification_scenario,
 )
-from .signals import TimeGrid, Trajectory
+from .signals import DEFAULT_CT_STEP, DEFAULT_DT_STEP, TimeGrid, Trajectory
 
 ENV_OUT_DIR = "DREMKIT_OUT_DIR"
 # figure id: (study fields, horizon in s, rows kept as (start, stop) or None)
@@ -82,62 +85,6 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict | None:
     return value
 
 
-def named_signal(spec, field: str) -> Sinusoid | Constant:
-    """Named time-varying entry: a bare number means a constant. ``field``
-    names the entry in error messages."""
-    if isinstance(spec, (int, float)):
-        return Constant(_number(spec, field))
-    if not isinstance(spec, dict):
-        raise _fail(field, f"expected a number or a signal object, got {spec!r}")
-    kind = _get(spec, "kind")
-    if kind == "constant":
-        return Constant(_number(_get(spec, "level"), f"{field}.level"))
-    if kind == "sinusoid":
-        return Sinusoid(
-            amplitude=_number(_get(spec, "amplitude"), f"{field}.amplitude"),
-            frequency=_number(_get(spec, "frequency"), f"{field}.frequency"),
-            phase=_number(spec.get("phase", 0.0), f"{field}.phase"),
-        )
-    raise _fail("kind", f"unknown signal kind {kind!r}")
-
-
-def _channel_entry(value, field: str):
-    """Channel coefficient: constant number/matrix or a named signal."""
-    if isinstance(value, dict):
-        return named_signal(value, field)
-    if isinstance(value, list):
-        return _numbers(value, field)
-    if isinstance(value, (int, float)):
-        return _number(value, field)
-    raise _fail(field, f"cannot interpret {value!r}")
-
-
-def parse_bank(cfg: dict) -> OperatorBank:
-    entries = _get(cfg, "channels")
-    if not isinstance(entries, list):
-        raise _fail("bank.channels", f"expected a list of objects, got {entries!r}")
-    channels = []
-    for i, ch in enumerate(entries):
-        if not isinstance(ch, dict):
-            raise _fail(f"bank.channels[{i}]", f"expected an object, got {ch!r}")
-        try:
-            channels.append(
-                LtvChannelSpec(
-                    n=_integer(ch.get("n", 0), "n"),
-                    A=_channel_entry(ch["A"], "A") if "A" in ch else None,
-                    b=_channel_entry(ch["b"], "b") if "b" in ch else None,
-                    c=_channel_entry(ch["c"], "c") if "c" in ch else None,
-                    d=_channel_entry(ch.get("d", 0.0), "d"),
-                    delay_gain=_channel_entry(ch.get("mu", 0.0), "mu"),
-                    delay=_number(ch.get("delay", 0.0), "delay"),
-                    kind=ch.get("kind", "ct"),
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise _fail(f"bank.channels[{i}]", str(exc)) from exc
-    return OperatorBank(tuple(channels))
-
-
 def _number(value, field: str) -> float:
     if isinstance(value, bool):
         raise _fail(field, f"expected a number, got {value!r}")
@@ -176,17 +123,95 @@ def _integer(value, field: str) -> int:
     return int(number)
 
 
+def _given(section: dict, label: str, readers: dict, required=()) -> dict:
+    """The fields ``section`` gives, parsed by their readers. A field with
+    no reader is rejected; one whose reader is None is read elsewhere and left
+    out. ``label`` names the section in errors, "" at the top level."""
+    prefix = f"{label}." if label else ""
+    for name in section:
+        if name not in readers:
+            raise _fail(prefix + name, f"unknown field; accepted: {', '.join(readers)}")
+    for name in required:
+        if name not in section:
+            raise _fail(prefix + name, "missing")
+    return {
+        name: read(section[name], prefix + name)
+        for name, read in readers.items()
+        if read is not None and name in section
+    }
+
+
+def _as_is(value, field: str):
+    """Reader of a field the library validates itself."""
+    return value
+
+
+_SIGNALS = {  # named signal kind: (constructor, its fields, the required ones)
+    "constant": (Constant, ("level",), ("level",)),
+    "sinusoid": (Sinusoid, ("amplitude", "frequency", "phase"), ("amplitude", "frequency")),
+}
+
+
+def named_signal(spec, field: str) -> Sinusoid | Constant:
+    """Named time-varying entry: a bare number means a constant. ``field``
+    names the entry in error messages."""
+    if isinstance(spec, (int, float)):
+        return Constant(_number(spec, field))
+    if not isinstance(spec, dict):
+        raise _fail(field, f"expected a number or a signal object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SIGNALS:
+        accepted = ", ".join(_SIGNALS)
+        raise _fail(f"{field}.kind", f"unknown signal kind {kind!r}; accepted: {accepted}")
+    make, fields, required = _SIGNALS[kind]
+    return make(**_given(spec, field, {"kind": None, **dict.fromkeys(fields, _number)}, required))
+
+
+def _channel_entry(value, field: str):
+    """Channel coefficient: constant number/matrix or a named signal."""
+    if isinstance(value, dict):
+        return named_signal(value, field)
+    if isinstance(value, list):
+        return _numbers(value, field)
+    if isinstance(value, (int, float)):
+        return _number(value, field)
+    raise _fail(field, f"cannot interpret {value!r}")
+
+
+_CHANNEL_FIELDS = {
+    "n": _integer,
+    **dict.fromkeys(("A", "b", "c", "d", "mu"), _channel_entry),
+    "delay": _number,
+    "kind": _as_is,
+}
+
+
+def parse_bank(cfg: dict) -> OperatorBank:
+    entries = _given(cfg, "bank", {"channels": _as_is}, ("channels",))["channels"]
+    if not isinstance(entries, list):
+        raise _fail("bank.channels", f"expected a list of objects, got {entries!r}")
+    channels = []
+    for i, ch in enumerate(entries):
+        if not isinstance(ch, dict):
+            raise _fail(f"bank.channels[{i}]", f"expected an object, got {ch!r}")
+        try:
+            given = _given(ch, "", _CHANNEL_FIELDS)
+            if "mu" in given:
+                given["delay_gain"] = given.pop("mu")
+            channels.append(LtvChannelSpec(**given))
+        except ValueError as exc:
+            raise _fail(f"bank.channels[{i}]", str(exc)) from exc
+    return OperatorBank(tuple(channels))
+
+
 def parse_grid(cfg: dict) -> tuple[float, float]:
-    grid = _section(cfg, "grid")
-    step = _number(_get(grid, "step"), "grid.step")
-    horizon = _number(_get(grid, "horizon"), "grid.horizon")
-    if step <= 0:
-        raise _fail("grid.step", "must be positive")
-    if horizon < 0:
+    readers = {"t0": _number, "step": _positive, "horizon": _number}
+    grid = _given(_section(cfg, "grid"), "grid", readers, ("step", "horizon"))
+    if grid["horizon"] < 0:
         raise _fail("grid.horizon", "must be nonnegative")
-    if _number(grid.get("t0", 0.0), "grid.t0") != 0.0:
+    if grid.get("t0"):
         raise _fail("grid.t0", "studies start at t = 0; omit t0 or set it to 0.0")
-    return horizon, step
+    return grid["horizon"], grid["step"]
 
 
 def load_config(path: str | Path) -> dict:
@@ -244,10 +269,13 @@ def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
 
 
 def read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Read back an emitted CSV; values reproduce the written doubles exactly."""
+    """Read back an emitted CSV; values reproduce the written doubles exactly.
+    A header-only file, as written for zero rows, gives zero rows."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        return header, np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, len(header))
+        rows = fh.readlines()
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty(0)
+    return header, data.reshape(-1, len(header))
 
 
 class OutputWriter:
@@ -327,76 +355,76 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
     writer.text("summary.txt", "\n".join(summary) + "\n")
 
 
+# the top-level fields of each mode; a reader of None marks a section or a
+# field read on its own
+_TOP_FIELDS = {"mode": None, "grid": None, "out_dir": None}
+_SECTIONS = dict.fromkeys(("plant", "regressor", "bank", "estimator"))
+_STUDY_FIELDS = {
+    "identify": {**_TOP_FIELDS, "input_kind": _as_is, **_SECTIONS},
+    "custom": {**_TOP_FIELDS, "input_kind": _as_is, **_SECTIONS},
+    "ftc": {**_TOP_FIELDS, "delta_kind": _as_is, "ftc": None},
+}
+_PE_FIELDS = {"mode": None, "out_dir": None, "signal": None, "threshold": _number}
+
+
+def _boolean(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise _fail(field, f"expected true or false, got {value!r}")
+    return value
+
+
+_FTC_FIELDS = {
+    "gamma": _positive, "clip_threshold": _number, "delay_window": _number,
+    "theta_hat0": _number, "use_delayed_snapshot": _boolean,
+}
+
+
 def _run_study(cfg: dict) -> ScenarioResult:
-    """Run the identify, custom or ftc study that ``cfg`` describes."""
+    """Run the study ``cfg`` describes; an omitted field takes the library's default."""
     mode = _get(cfg, "mode")
-    if mode not in ("identify", "custom", "ftc"):
+    if not isinstance(mode, str) or mode not in _STUDY_FIELDS:
         raise _fail("mode", f"unknown mode {mode!r}")
+    study = _given(cfg, "", _STUDY_FIELDS[mode], ("delta_kind",) if mode == "ftc" else ())
     horizon, step = parse_grid(cfg)
     if mode == "ftc":
-        ftc_cfg = _section(cfg, "ftc", required=False) or {}
-        snapshot = ftc_cfg.get("use_delayed_snapshot", True)
-        if not isinstance(snapshot, bool):
-            raise _fail("ftc.use_delayed_snapshot", f"expected true or false, got {snapshot!r}")
-        return run_ftc_scenario(
-            delta_kind=_get(cfg, "delta_kind"),
-            horizon=horizon,
-            step=step,
-            gamma=_positive(ftc_cfg.get("gamma", 2.0), "ftc.gamma"),
-            clip_threshold=_number(ftc_cfg.get("clip_threshold", 0.98), "ftc.clip_threshold"),
-            delay_window=_number(ftc_cfg.get("delay_window", 0.2), "ftc.delay_window"),
-            theta_hat0=_number(ftc_cfg.get("theta_hat0", 0.0), "ftc.theta_hat0"),
-            use_delayed_snapshot=snapshot,
-        )
+        given = _given(_section(cfg, "ftc", required=False) or {}, "ftc", _FTC_FIELDS)
+        if "theta_hat0" in given:
+            study["theta_hat0"] = given.pop("theta_hat0")
+        ftc = dataclasses.replace(TRACKING_FTC, **given)
+        return run_ftc_scenario(horizon=horizon, step=step, ftc=ftc, **study)
     required = mode == "custom"
     plant_cfg = _section(cfg, "plant", required)
-    plant = None
     if plant_cfg is not None:
         if "input_kind" in cfg:
             raise _fail("input_kind", "conflicts with 'plant', which sets its own input")
-        plant = PlantSpec(
-            a=_number(_get(plant_cfg, "a"), "plant.a"),
-            b=_number(_get(plant_cfg, "b"), "plant.b"),
-            y0=_number(plant_cfg.get("y0", 0.0), "plant.y0"),
-            input=named_signal(_get(plant_cfg, "input"), "plant.input"),
-        )
+        readers = {"a": _number, "b": _number, "y0": _number, "input": named_signal}
+        study["plant"] = PlantSpec(**_given(plant_cfg, "plant", readers, ("a", "b", "input")))
     reg_cfg = _section(cfg, "regressor", required)
-    regressor = (
-        RegressorSpec(pole=_positive(_get(reg_cfg, "pole"), "regressor.pole"))
-        if reg_cfg
-        else None
-    )
+    if reg_cfg is not None:
+        pole = _given(reg_cfg, "regressor", {"pole": _positive}, ("pole",))
+        study["regressor"] = RegressorSpec(**pole)
     bank_cfg = _section(cfg, "bank", required)
+    if bank_cfg is not None:
+        study["bank"] = parse_bank(bank_cfg)
     est = _section(cfg, "estimator", required) or {}
-    return run_identification_scenario(
-        input_kind=cfg.get("input_kind", "rich"),
-        horizon=horizon,
-        step=step,
-        gamma=_positive(est.get("gamma", 1.0), "estimator.gamma"),
-        theta_hat0=_numbers(est.get("theta_hat0", [0.0, 0.0]), "estimator.theta_hat0"),
-        plant=plant,
-        regressor=regressor,
-        bank=parse_bank(bank_cfg) if bank_cfg else None,
-    )
+    study.update(_given(est, "estimator", {"gamma": _positive, "theta_hat0": _numbers}))
+    return run_identification_scenario(horizon=horizon, step=step, **study)
 
 
 def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     cfg = load_config(config_path)
     out = resolve_out_dir(out_dir, cfg)
-    mode = _get(cfg, "mode")
+    if _get(cfg, "mode") == "pe-check":
+        return _pe_check(cfg, out)
     writer = OutputWriter(out)
-    if mode == "pe-check":
-        report_text = _pe_check_text(cfg)
-        writer.text("pe_report.txt", report_text)
-        print(report_text, end="")
-    else:
-        write_result(writer, _run_study(cfg))
+    write_result(writer, _run_study(cfg))
     writer.manifest(cfg)
     return 0
 
 
 # the domains each pe-check signal kind is defined on; the first is the default
 _PE_DOMAINS = {"zero": ("ct", "dt"), "sinusoid-pair": ("ct",), "counterexample": ("dt",)}
+_PE_SIGNAL_FIELDS = {"kind": None, "domain": None, "horizon": _number, "step": _number}
 
 
 def _pe_domain(sig: dict, kind: str) -> str:
@@ -412,31 +440,30 @@ def _pe_domain(sig: dict, kind: str) -> str:
 
 def _pe_signal(sig: dict, kind: str, domain: str) -> Trajectory:
     if kind == "zero":
-        from .signals import DEFAULT_DT_STEP
-
-        horizon = _number(sig.get("horizon", 10.0), "signal.horizon")
-        step = _number(sig.get("step", 1e-3 if domain == "ct" else DEFAULT_DT_STEP), "signal.step")
-        grid = TimeGrid.from_horizon(horizon, step)
-        dim = _integer(sig.get("dim", 1), "signal.dim")
+        step = DEFAULT_CT_STEP if domain == "ct" else DEFAULT_DT_STEP
+        given = {"horizon": 10.0, "step": step, "dim": 1,
+                 **_given(sig, "signal", {**_PE_SIGNAL_FIELDS, "dim": _integer})}
+        grid, dim = TimeGrid.from_horizon(given["horizon"], given["step"]), given["dim"]
+        if dim < 1:
+            raise _fail("signal.dim", f"must be at least 1, got {dim}")
         vals = np.zeros((grid.count, dim)) if dim > 1 else np.zeros(grid.count)
         return Trajectory(grid, vals, domain)
     # sinusoid-pair: (sin t, cos t) sampled so the window is a grid multiple
-    step = _number(sig.get("step", 2.0 * np.pi / 6000), "signal.step")
-    horizon = _number(sig.get("horizon", 8.0 * np.pi), "signal.horizon")
-    grid = TimeGrid.from_horizon(horizon, step)
+    given = {"horizon": 8.0 * np.pi, "step": 2 * np.pi / 6000,
+             **_given(sig, "signal", _PE_SIGNAL_FIELDS)}
+    grid = TimeGrid.from_horizon(given["horizon"], given["step"])
     t = grid.times()
     return Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), "ct")
 
 
 def _pe_check_text(cfg: dict) -> str:
     sig = _section(cfg, "signal")
-    sig_kind = _get(sig, "kind")
-    threshold = _number(cfg.get("threshold", 1e-3), "threshold")
+    sig_kind = sig.get("kind")
     domain = _pe_domain(sig, sig_kind)
     if sig_kind == "counterexample":
-        horizon = _integer(sig.get("horizon", 100_000), "signal.horizon")
-        max_window = _integer(cfg.get("max_window", 100), "max_window")
-        report = counterexample_suite(horizon, max_window, threshold)
+        given = _given(cfg, "", {**_PE_FIELDS, "max_window": _integer})
+        given.update(_given(sig, "signal", {"kind": None, "domain": None, "horizon": _integer}))
+        report = counterexample_suite(**given)
         lines = [
             f"counterexample suite, horizon {report.horizon}, threshold {report.threshold}",
             f"all windows below threshold: {report.all_below_threshold}",
@@ -450,11 +477,9 @@ def _pe_check_text(cfg: dict) -> str:
             lines.append(f"{K}, {report.alpha_by_window[K]:.9g}")
         return "\n".join(lines) + "\n"
     phi = _pe_signal(sig, sig_kind, domain)
-    window = _get(cfg, "window")
-    if phi.kind == "ct":
-        report = pe_check_ct(phi, _number(window, "window"), threshold)
-    else:
-        report = pe_check_dt(phi, _integer(window, "window"), threshold)
+    ct = phi.kind == "ct"
+    given = _given(cfg, "", {**_PE_FIELDS, "window": _number if ct else _integer}, ("window",))
+    report = (pe_check_ct if ct else pe_check_dt)(phi, **given)
     return (
         f"signal {sig_kind}, domain {phi.kind}, window {report.window},"
         f" threshold {report.threshold}\n"
@@ -463,9 +488,8 @@ def _pe_check_text(cfg: dict) -> str:
     )
 
 
-def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
-    cfg = load_config(config_path)
-    out = _given_out_dir(out_dir, cfg)
+def _pe_check(cfg: dict, out: Path | None) -> int:
+    """``check-pe`` and ``simulate``: print the report, and write it to ``out`` if given."""
     text = _pe_check_text(cfg)
     if out is not None:
         writer = OutputWriter(out)
@@ -475,9 +499,16 @@ def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
     return 0
 
 
+def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
+    cfg = load_config(config_path)
+    if cfg.get("mode", "pe-check") != "pe-check":
+        raise _fail("mode", f"check-pe runs only mode 'pe-check', got {cfg['mode']!r}")
+    return _pe_check(cfg, _given_out_dir(out_dir, cfg))
+
+
 def _reproduce_config(figure_id: str) -> dict:
     fields, horizon, _ = PRESETS[figure_id]
-    return {**fields, "grid": {"t0": 0.0, "step": 1e-3, "horizon": horizon}}
+    return {**fields, "grid": {"t0": 0.0, "step": DEFAULT_CT_STEP, "horizon": horizon}}
 
 
 def cmd_reproduce(figure_id: str, out_dir: str | None) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_energy
-from .signals import Trajectory
+from .signals import Trajectory, require_positive
 
 # samples per block of the DT recursions; bounds the Python floats alive at once
 _BLOCK = 1024
@@ -45,9 +45,10 @@ class GradientConfig:
 
     def __post_init__(self) -> None:
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if np.any(gamma <= 0):
-            raise ValueError("all gains must be positive")
+        require_positive(gamma, "every gain")
         theta0 = np.atleast_1d(np.asarray(self.theta_hat0, dtype=float))
+        if not np.isfinite(theta0).all():
+            raise ValueError(f"theta_hat0 must be finite, got {self.theta_hat0}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "theta_hat0", theta0)
 
@@ -231,8 +232,7 @@ def closed_form_error_ct(
     the integral from :func:`dremkit.quadrature.cumulative_energy`."""
     if not delta.is_scalar or delta.kind != "ct":
         raise ValueError("closed_form_error_ct expects a scalar CT Delta")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require_positive(gamma, "gamma")
     energy = cumulative_energy(delta).values
     return Trajectory(delta.grid, np.exp(-gamma * energy) * theta_tilde0, "ct")
 
@@ -243,8 +243,7 @@ def closed_form_error_dt(
     """Running-product error envelope matching the DT recursion exactly."""
     if not delta.is_scalar or delta.kind != "dt":
         raise ValueError("closed_form_error_dt expects a scalar DT Delta")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require_positive(gamma, "gamma")
     d2 = delta.values * delta.values
     factors = 1.0 / (1.0 + d2 / gamma)
     factors = factors.copy()

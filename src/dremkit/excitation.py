@@ -29,7 +29,6 @@ from .signals import Trajectory
 
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_DT_HORIZON = 100_000
-DEFAULT_CT_HORIZON = 100.0
 
 
 @dataclass(frozen=True, eq=False)

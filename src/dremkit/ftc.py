@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import cumulative_energy, lagged_difference, window_steps
-from .signals import Trajectory
+from .signals import Trajectory, require_positive
 
 # below this window weight deficit the delayed identity divides by ~0 and the
 # sample is reported as inactive instead
@@ -61,12 +61,10 @@ class FtcConfig:
     use_delayed_snapshot: bool = True
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        require_positive(self.gamma, "gamma")
         if not 0.0 < self.clip_threshold < 1.0:
             raise ValueError("clip_threshold must lie in (0, 1)")
-        if self.delay_window <= 0:
-            raise ValueError("delay_window must be positive")
+        require_positive(self.delay_window, "delay_window")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +85,7 @@ def _energy(delta: Trajectory, gamma: float) -> np.ndarray:
     """gamma * int_0^t Delta^2 on the grid: minus the log of the weight."""
     if not delta.is_scalar or delta.kind != "ct":
         raise ValueError("expected a scalar CT trajectory")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require_positive(gamma, "gamma")
     return gamma * cumulative_energy(delta).values
 
 

@@ -64,11 +64,12 @@ class LtvChannelSpec:
     ``A``, ``b``, ``c``, ``d`` and ``delay_gain`` may be constants or
     callables (of time for CT channels, of the sample index for DT ones).
     ``delay`` is in seconds for CT channels and in whole steps for DT channels.
-    Stability of a time-varying ``A`` is the caller's responsibility; a
-    constant ``A`` is checked at construction.
+    ``n = 0`` is a static channel: feedthrough and the delay tap. Stability
+    of a time-varying ``A`` is the caller's responsibility; a constant ``A``
+    is checked at construction.
     """
 
-    n: int
+    n: int = 0
     A: Coefficient | None = None
     b: Coefficient | None = None
     c: Coefficient | None = None

@@ -32,15 +32,18 @@ from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression, extend_with_feedforward, mix
 from .operators import LtvChannelSpec, OperatorBank, extend
 from .signals import (
+    DEFAULT_CT_STEP,
     SchedulePiece,
     ThetaSchedule,
     TimeGrid,
     Trajectory,
+    require_positive,
     sample_schedule,
     values_at,
 )
 
 CONVERGENCE_TOL = 0.01
+TRACKING_FTC = FtcConfig(gamma=2.0)  # the tracking study's recovery and estimator gain
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ class RegressorSpec:
     phi0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.pole <= 0:
-            raise ValueError("filter pole must be positive")
+        require_positive(self.pole, "filter pole")
 
 
 def simulate_plant(spec: PlantSpec, grid: TimeGrid) -> tuple[Trajectory, Trajectory]:
@@ -188,25 +190,24 @@ class ScenarioResult:
     final_errors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _finish(result: ScenarioResult, tol: float) -> ScenarioResult:
+def _finish(result: ScenarioResult) -> ScenarioResult:
     for name, run in result.runs.items():
         if run.theta_tilde is None:
             continue
-        result.convergence_times[name] = convergence_time(run.theta_tilde, tol)
+        result.convergence_times[name] = convergence_time(run.theta_tilde)
         result.final_errors[name] = np.abs(np.atleast_1d(run.theta_tilde.values[-1]))
     return result
 
 
 def run_identification_scenario(
-    input_kind: str,
+    input_kind: str = "rich",
     horizon: float = 20.0,
-    step: float = 1e-3,
+    step: float = DEFAULT_CT_STEP,
     gamma: float = 1.0,
     theta_hat0: np.ndarray | None = None,
     plant: PlantSpec | None = None,
     regressor: RegressorSpec | None = None,
     bank: OperatorBank | None = None,
-    tol: float = CONVERGENCE_TOL,
 ) -> ScenarioResult:
     """Identification study: gradient vs mixed estimation, with and without
     the determinant-boosting feedthrough.
@@ -220,7 +221,7 @@ def run_identification_scenario(
         drive = Constant(15.0)
     else:
         raise ValueError(f"unknown input kind {input_kind!r}")
-    plant = plant or PlantSpec(a=-0.4, b=0.4, y0=0.0, input=drive)
+    plant = plant or PlantSpec(a=-0.4, b=0.4, input=drive)
     if plant.input is None:
         raise ValueError("plant spec needs an input signal")
     regressor = regressor or RegressorSpec(pole=5.0)
@@ -231,8 +232,7 @@ def run_identification_scenario(
     phi, theta_true = build_regressor(regressor, plant, u, y)
     truth = Trajectory(grid, np.broadcast_to(theta_true, (grid.count, 2)).copy(), "ct")
 
-    th0 = np.zeros(2) if theta_hat0 is None else np.asarray(theta_hat0, float)
-    cfg = GradientConfig(gamma=gamma, theta_hat0=th0)
+    cfg = GradientConfig(gamma=gamma, theta_hat0=np.zeros(2) if theta_hat0 is None else theta_hat0)
 
     gradient = ct_gradient(y, phi, cfg, theta_true=theta_true)
 
@@ -247,25 +247,21 @@ def run_identification_scenario(
         theta_true=truth,
         runs={"gradient": gradient, "drem_d0": drem_plain, "drem_dN": drem_boost},
     )
-    return _finish(result, tol)
+    return _finish(result)
 
 
 def run_ftc_scenario(
     delta_kind: str,
     horizon: float = 40.0,
-    step: float = 1e-3,
-    gamma: float = 2.0,
-    clip_threshold: float = 0.98,
-    delay_window: float = 0.2,
+    step: float = DEFAULT_CT_STEP,
     theta_hat0: float = 0.0,
-    schedule: ThetaSchedule | None = None,
-    use_delayed_snapshot: bool = True,
-    tol: float = CONVERGENCE_TOL,
+    ftc: FtcConfig = TRACKING_FTC,
 ) -> ScenarioResult:
     """Tracking study on the scalar regression y = Delta * theta(t).
 
     ``delta_kind`` selects the excitation: "pe" is sin(2 pi t), "nonpe" is
-    1/(t+1), which fades and eventually starves the delayed window.
+    1/(t+1), which fades and eventually starves the delayed window. ``ftc``
+    sets both recoveries, and its ``gamma`` is the estimator's gain too.
     """
     grid = TimeGrid.from_horizon(horizon, step)
     times = grid.times()
@@ -277,29 +273,22 @@ def run_ftc_scenario(
         raise ValueError(f"unknown delta kind {delta_kind!r}")
     delta = Trajectory(grid, delta_vals, "ct")
 
-    schedule = schedule or tracking_schedule()
-    truth = sample_schedule(schedule, grid, "ct")
+    truth = sample_schedule(tracking_schedule(), grid, "ct")
     y = delta_vals * truth.values[:, 0]
 
     mixed = MixedRegression(
         calY=Trajectory(grid, y[:, None], "ct"),
         Delta=delta,
     )
-    cfg = GradientConfig(gamma=gamma, theta_hat0=np.array([theta_hat0]))
+    cfg = GradientConfig(gamma=ftc.gamma, theta_hat0=np.array([theta_hat0]))
     gradient = drem_ct(mixed, cfg, theta_true=truth)
 
     hat_scalar = Trajectory(grid, gradient.theta_hat.values[:, 0], "ct")
-    ftc_cfg = FtcConfig(
-        gamma=gamma,
-        clip_threshold=clip_threshold,
-        delay_window=delay_window,
-        use_delayed_snapshot=use_delayed_snapshot,
-    )
-    plain = run_ftc(hat_scalar, delta, ftc_cfg)
-    alert = run_ftc_alert(hat_scalar, delta, ftc_cfg)
+    plain = run_ftc(hat_scalar, delta, ftc)
+    alert = run_ftc_alert(hat_scalar, delta, ftc)
 
-    def as_run(ftc: FtcRun) -> EstimatorRun:
-        hat = Trajectory(grid, ftc.theta_ftc.values[:, None], "ct")
+    def as_run(recovery: FtcRun) -> EstimatorRun:
+        hat = Trajectory(grid, recovery.theta_ftc.values[:, None], "ct")
         return EstimatorRun(
             theta_hat=hat,
             theta_tilde=hat.with_values(hat.values - truth.values),
@@ -312,4 +301,4 @@ def run_ftc_scenario(
         runs={"gradient": gradient, "ftc": as_run(plain), "ftc_d": as_run(alert)},
         ftc_runs={"ftc": plain, "ftc_d": alert},
     )
-    return _finish(result, tol)
+    return _finish(result)

@@ -15,9 +15,17 @@ import numpy as np
 
 SignalKind = Literal["ct", "dt"]
 
-# Sampling time used by discrete-time helpers when none is given. The
-# discrete-time theory is stated per step, so this only fixes the time axis.
+# Sampling times used when none is given. The discrete-time theory is stated
+# per step, so the DT step only fixes the time axis.
 DEFAULT_DT_STEP = 0.01
+DEFAULT_CT_STEP = 1e-3
+
+
+def require_positive(value, name: str) -> None:
+    """Raise ValueError unless every entry of ``value`` is finite and > 0."""
+    values = np.asarray(value, dtype=float)
+    if not (np.isfinite(values).all() and (values > 0).all()):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from dremkit.cli import (
     write_result,
 )
 from dremkit.estimators import GradientConfig, drem_ct
-from dremkit.ftc import ClipContractError
+from dremkit.ftc import ClipContractError, FtcConfig
 from dremkit.mixing import MixedRegression
 from dremkit.scenarios import (
     PlantSpec,
@@ -69,6 +70,16 @@ CUSTOM_CFG = {
     },
     "estimator": {"gamma": 1.0, "theta_hat0": [0.0, 0.0]},
 }
+
+
+def unread(field):
+    """The error text that rejects ``field`` as read by no study."""
+    return f"{field}: unknown field; accepted: "
+
+
+def edited(base, **sections):
+    """A deep copy of ``base`` with the given top-level fields replaced."""
+    return {**json.loads(json.dumps(base)), **sections}
 
 
 # Reference copies of the writers that write_csv and write_result replaced:
@@ -185,6 +196,15 @@ class TestCsvRoundTrip:
         for k, arr in enumerate(arrays):
             np.testing.assert_array_equal(data[:, k], arr)
             assert np.array_equal(np.signbit(data[:, k]), np.signbit(arr))
+
+    def test_zero_rows_round_trip_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        assert write_csv(path, ["t", "x"], [np.empty(0), np.empty(0)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, data = read_csv(path)
+        assert header == ["t", "x"]
+        assert data.shape == (0, 2)
 
     def test_run_without_truth_is_rejected_before_any_file(self, tmp_path):
         grid = TimeGrid.from_horizon(0.1, 1e-3)
@@ -404,6 +424,60 @@ class TestSimulate:
         assert err.startswith("error:") and field in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, cfg, field",
+        [
+            # a field no study reads, one per section
+            ("simulate", edited(IDENTIFY_CFG, ftc={"gamma": 5.0}), unread("'ftc'")),
+            ("simulate", edited(CUSTOM_CFG, estimater={"gamma": 5.0}), unread("'estimater'")),
+            ("simulate", edited(FTC_CFG, delta_knd="nonpe"), unread("'delta_knd'")),
+            ("simulate", edited(IDENTIFY_CFG, grid={"step": 1e-3, "horizon": 0.1, "horizn": 5.0}),
+             unread("'grid.horizn'")),
+            ("simulate", edited(CUSTOM_CFG, plant=dict(CUSTOM_CFG["plant"], y_0=1.0)), unread("'plant.y_0'")),
+            ("simulate", edited(CUSTOM_CFG, plant={"a": -0.4, "b": 0.4,
+                                                   "input": {"kind": "constant", "level": 15, "lvl": 1}}),
+             unread("'plant.input.lvl'")),
+            ("simulate", edited(CUSTOM_CFG, plant=dict(CUSTOM_CFG["plant"], input=dict(
+                CUSTOM_CFG["plant"]["input"], phse=0.5))), unread("'plant.input.phse'")),
+            ("simulate", edited(CUSTOM_CFG, regressor={"pole": 5.0, "poles": 2.0}), unread("'regressor.poles'")),
+            ("simulate", edited(CUSTOM_CFG, bank=dict(CUSTOM_CFG["bank"], chanels=[])), unread("'bank.chanels'")),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [{"n": 0, "d": 1.0, "dd": 1.0}]}),
+             unread("'bank.channels[0]': config field 'dd'")),
+            ("simulate", edited(CUSTOM_CFG, estimator={"gamma": 1.0, "theta0": [1.0, 1.0]}),
+             unread("'estimator.theta0'")),
+            ("simulate", edited(FTC_CFG, ftc={"gama": 5.0, "clip_treshold": 0.5}), unread("'ftc.gama'")),
+            ("check-pe", {"signal": {"kind": "zero", "horizon": 1.0, "dims": 2}, "window": 0.5},
+             unread("'signal.dims'")),
+            ("check-pe", {"signal": {"kind": "sinusoid-pair", "dim": 2}, "window": 2 * np.pi},
+             unread("'signal.dim'")),
+            ("check-pe", {"signal": {"kind": "counterexample", "horizon": 100, "step": 1.0}},
+             unread("'signal.step'")),
+            ("check-pe", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "treshold": 0.1},
+             unread("'treshold'")),
+            ("check-pe", {"signal": {"kind": "counterexample", "horizon": 100}, "window": 3}, unread("'window'")),
+            ("check-pe", {"mode": "ftc", "signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5},
+             "'mode': check-pe runs only mode 'pe-check'"),
+            ("simulate", {"mode": "pe-check", "signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5,
+                          "grid": {"step": 1e-3, "horizon": 1.0}}, unread("'grid'")),
+            # an empty section is given, so its required fields are missing
+            ("simulate", edited(CUSTOM_CFG, regressor={}), "'regressor.pole': missing"),
+            ("simulate", edited(CUSTOM_CFG, bank={}), "'bank.channels': missing"),
+            # labels name the dotted path
+            ("simulate", edited(CUSTOM_CFG, plant={"a": -0.4, "b": 0.4, "input": {"kind": "square"}}),
+             "'plant.input.kind'"),
+            ("simulate", edited(CUSTOM_CFG, plant={"b": 0.4, "input": 1.0}), "'plant.a': missing"),
+            ("simulate", edited(CUSTOM_CFG, plant={"a": -0.4, "b": 0.4, "input": {"kind": "constant"}}),
+             "'plant.input.level': missing"),
+        ],
+    )
+    def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and field in captured.err
+        assert not captured.out
+        assert not list(out.glob("*.csv")) and not (out / "pe_report.txt").exists()
+
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_non_boolean_use_delayed_snapshot_exits_1(self, tmp_path, capsys, flag):
         cfg = json.loads(json.dumps(FTC_CFG))
@@ -550,7 +624,10 @@ class TestReproduce:
                    "theta_hat0": 0.5, "use_delayed_snapshot": False}
             cfg = dict(FTC_CFG, delta_kind="nonpe", grid={"step": 1e-3, "horizon": horizon}, ftc=ftc)
             assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-            result = run_ftc_scenario("nonpe", horizon=horizon, step=1e-3, **ftc)
+            settings = FtcConfig(**{k: v for k, v in ftc.items() if k != "theta_hat0"})
+            result = run_ftc_scenario(
+                "nonpe", horizon=horizon, step=1e-3, theta_hat0=ftc["theta_hat0"], ftc=settings
+            )
             reference_ftc_csvs(ref, result)
         ref.text("summary.txt", reference_summary_text(result))
         assert sorted(ref.names) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
@@ -624,6 +701,8 @@ class TestCheckPe:
             ("signal.domain", {"signal": {"kind": "counterexample", "domain": "bogus", "horizon": 100}}),
             ("signal.domain", {"signal": {"kind": "counterexample", "domain": "ct", "horizon": 100}}),
             ("signal.kind", {"signal": {"kind": ["zero"], "horizon": 1.0}, "window": 0.5}),
+            ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": -3}, "window": 0.5}),
+            ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": 0}, "window": 0.5}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):

@@ -11,7 +11,9 @@ from dremkit.estimators import (
     drem_dt,
     dt_gradient,
 )
+from dremkit.ftc import FtcConfig, _energy
 from dremkit.mixing import MixedRegression
+from dremkit.scenarios import RegressorSpec, run_ftc_scenario
 from dremkit.signals import TimeGrid, Trajectory
 
 
@@ -51,6 +53,34 @@ class TestConfig:
             GradientConfig(gamma=0.0, theta_hat0=np.zeros(2))
         with pytest.raises(ValueError):
             GradientConfig(gamma=[1.0, -1.0], theta_hat0=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: GradientConfig(gamma=g, theta_hat0=np.zeros(1)),
+            lambda g: GradientConfig(gamma=[1.0, g], theta_hat0=np.zeros(2)),
+            lambda g: FtcConfig(gamma=g),
+            lambda g: FtcConfig(gamma=1.0, delay_window=g),
+            lambda g: RegressorSpec(pole=g),
+            lambda g: closed_form_error_ct(ct_scalar(np.ones(5)), g, 1.0),
+            lambda g: closed_form_error_dt(dt_scalar(np.ones(5)), g, 1.0),
+            lambda g: _energy(ct_scalar(np.ones(5)), g),
+        ],
+        ids=["gradient", "gradient-vector", "ftc", "ftc-window", "pole", "envelope-ct",
+             "envelope-dt", "ftc-energy"],
+    )
+    def test_gain_must_be_finite_and_positive(self, build):
+        # NaN compares False with 0, so a `gain <= 0` check lets it through
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                build(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_estimate_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="theta_hat0"):
+            GradientConfig(gamma=1.0, theta_hat0=np.array([0.0, bad]))
+        with pytest.raises(ValueError, match="theta_hat0"):
+            run_ftc_scenario("pe", horizon=0.1, theta_hat0=bad)
 
 
 class TestCtGradient:

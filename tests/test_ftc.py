@@ -441,7 +441,7 @@ def test_alert_pipeline_matches_old_recovery_body(kind, snapshot):
             hat = Trajectory(grid, np.cumsum(rng.normal(scale=1e-2, size=grid.count)), "ct")
             runs = {"ftc": run_ftc(hat, delta, cfg), "ftc_d": run_ftc_alert(hat, delta, cfg)}
         else:
-            result = run_ftc_scenario(kind, **settings, use_delayed_snapshot=snapshot)
+            result = run_ftc_scenario(kind, ftc=cfg)
             delta = result.runs["gradient"].diagnostics
             hat = Trajectory(result.grid, result.runs["gradient"].theta_hat.values[:, 0], "ct")
             runs = result.ftc_runs
