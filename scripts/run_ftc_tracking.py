@@ -14,6 +14,7 @@ import numpy as np
 
 from dremkit.cli import OutputWriter, write_result
 from dremkit.scenarios import run_ftc_scenario
+from dremkit.signals import DEFAULT_CT_STEP
 
 
 def main() -> None:
@@ -21,7 +22,7 @@ def main() -> None:
     parser.add_argument("--delta", choices=["pe", "nonpe", "both"], default="both")
     parser.add_argument("--out", default="results/tracking")
     parser.add_argument("--horizon", type=float, default=40.0)
-    parser.add_argument("--step", type=float, default=1e-3)
+    parser.add_argument("--step", type=float, default=DEFAULT_CT_STEP)
     args = parser.parse_args()
 
     kinds = ["pe", "nonpe"] if args.delta == "both" else [args.delta]

@@ -13,6 +13,7 @@ import numpy as np
 
 from dremkit.cli import OutputWriter, write_result
 from dremkit.scenarios import run_identification_scenario
+from dremkit.signals import DEFAULT_CT_STEP
 
 
 def main() -> None:
@@ -20,7 +21,7 @@ def main() -> None:
     parser.add_argument("--input", choices=["rich", "constant", "both"], default="both")
     parser.add_argument("--out", default="results/identification")
     parser.add_argument("--horizon", type=float, default=20.0)
-    parser.add_argument("--step", type=float, default=1e-3)
+    parser.add_argument("--step", type=float, default=DEFAULT_CT_STEP)
     args = parser.parse_args()
 
     kinds = ["rich", "constant"] if args.input == "both" else [args.input]
@@ -31,8 +32,8 @@ def main() -> None:
         write_result(writer, result)
         writer.manifest({"input_kind": kind, "horizon": args.horizon, "step": args.step})
         print(f"== {kind} input ==")
-        for name, run in result.runs.items():
-            final = np.abs(np.atleast_1d(run.theta_tilde.values[-1]))
+        for name in result.runs:
+            final = result.final_errors[name]
             tc = result.convergence_times[name]
             print(
                 f"  {name:10s} final |error| = {np.array2string(final, precision=4)}"

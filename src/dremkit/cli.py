@@ -1,16 +1,21 @@
 """Command line front end: JSON scenario configs in, CSV time series and a
 run manifest out.
 
-``simulate`` and ``reproduce`` share one path: ``_run_study`` runs the
-study a config describes, and ``write_result`` writes one CSV per run plus
-``summary.txt``; a preset only supplies its config and the rows it keeps.
+Every command runs one pipeline in ``main``: parse, then run, then write.
+``_parse`` validates the whole config and resolves the output directory,
+with no I/O and no numerics, and names the runner and its keyword arguments.
+The runner is looked up in this module when the study runs. Only once it
+has returned are the output directory and its files made: one CSV per run
+plus ``summary.txt`` by ``write_result``, or the excitation report, then
+``manifest.json``. A ``reproduce`` preset is a config plus the rows it keeps.
 Scripts call ``write_result`` on their own study runs. A field a config
 omits takes the library's default, and one that no study reads is an error.
 
 Exit codes: 0 = ran to completion, 1 = configuration error (a missing,
 unknown or malformed field, or a value the library rejects with ValueError),
-2 = runtime numerical failure. Output locations resolve as --out flag, then
-the config's "out_dir", then the DREMKIT_OUT_DIR environment variable.
+2 = runtime numerical failure. Exit 1 or 2 creates no output directory and
+writes no file. Output locations resolve as --out flag, then the config's
+"out_dir", then the DREMKIT_OUT_DIR environment variable.
 
 CSV values are written with 17 significant digits, which round-trips IEEE
 doubles exactly. ``write_csv`` formats a fixed block of rows at a time with
@@ -116,6 +121,13 @@ def _positive(value, field: str) -> float:
     return number
 
 
+def _nonnegative(value, field: str) -> float:
+    number = _number(value, field)
+    if number < 0:
+        raise _fail(field, f"must be nonnegative, got {value!r}")
+    return number
+
+
 def _integer(value, field: str) -> int:
     number = _number(value, field)
     if not number.is_integer():
@@ -205,10 +217,8 @@ def parse_bank(cfg: dict) -> OperatorBank:
 
 
 def parse_grid(cfg: dict) -> tuple[float, float]:
-    readers = {"t0": _number, "step": _positive, "horizon": _number}
+    readers = {"t0": _number, "step": _positive, "horizon": _nonnegative}
     grid = _given(_section(cfg, "grid"), "grid", readers, ("step", "horizon"))
-    if grid["horizon"] < 0:
-        raise _fail("grid.horizon", "must be nonnegative")
     if grid.get("t0"):
         raise _fail("grid.t0", "studies start at t = 0; omit t0 or set it to 0.0")
     return grid["horizon"], grid["step"]
@@ -231,24 +241,22 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _given_out_dir(flag_value: str | None, cfg: dict | None) -> Path | None:
-    """The output directory from --out, the config or the environment, or None."""
+def resolve_out_dir(
+    flag_value: str | None, cfg: dict | None, required: bool = True
+) -> Path | None:
+    """The output directory from --out, the config or the environment; None
+    when none is given and ``required`` is false."""
     configured = cfg.get("out_dir") if cfg else None
     if configured is not None and not isinstance(configured, str):
         raise _fail("out_dir", f"expected a path string, got {configured!r}")
     for value in (flag_value, configured, os.environ.get(ENV_OUT_DIR)):
         if value:
             return Path(value)
-    return None
-
-
-def resolve_out_dir(flag_value: str | None, cfg: dict | None) -> Path:
-    out = _given_out_dir(flag_value, cfg)
-    if out is None:
+    if required:
         raise ConfigError(
             f"no output directory: pass --out, set 'out_dir' in the config, or set {ENV_OUT_DIR}"
         )
-    return out
+    return None
 
 
 def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
@@ -364,7 +372,6 @@ _STUDY_FIELDS = {
     "custom": {**_TOP_FIELDS, "input_kind": _as_is, **_SECTIONS},
     "ftc": {**_TOP_FIELDS, "delta_kind": _as_is, "ftc": None},
 }
-_PE_FIELDS = {"mode": None, "out_dir": None, "signal": None, "threshold": _number}
 
 
 def _boolean(value, field: str) -> bool:
@@ -379,19 +386,30 @@ _FTC_FIELDS = {
 }
 
 
-def _run_study(cfg: dict) -> ScenarioResult:
-    """Run the study ``cfg`` describes; an omitted field takes the library's default."""
-    mode = _get(cfg, "mode")
+def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Path | None]:
+    """Validate ``cfg`` for ``command`` with no I/O and no numerics. Returns
+    the name of the runner in this module, its keyword arguments and the
+    output directory, which only ``check-pe`` may go without. An omitted
+    field takes the library's default."""
+    if command == "check-pe":
+        mode = cfg.get("mode", "pe-check")
+        if mode != "pe-check":
+            raise _fail("mode", f"check-pe runs only mode 'pe-check', got {mode!r}")
+    else:
+        mode = _get(cfg, "mode")
+    out = resolve_out_dir(out_flag, cfg, required=command != "check-pe")
+    if mode == "pe-check":
+        return (*_parse_pe_check(cfg), out)
     if not isinstance(mode, str) or mode not in _STUDY_FIELDS:
         raise _fail("mode", f"unknown mode {mode!r}")
     study = _given(cfg, "", _STUDY_FIELDS[mode], ("delta_kind",) if mode == "ftc" else ())
-    horizon, step = parse_grid(cfg)
+    study["horizon"], study["step"] = parse_grid(cfg)
     if mode == "ftc":
         given = _given(_section(cfg, "ftc", required=False) or {}, "ftc", _FTC_FIELDS)
         if "theta_hat0" in given:
             study["theta_hat0"] = given.pop("theta_hat0")
-        ftc = dataclasses.replace(TRACKING_FTC, **given)
-        return run_ftc_scenario(horizon=horizon, step=step, ftc=ftc, **study)
+        study["ftc"] = dataclasses.replace(TRACKING_FTC, **given)
+        return "run_ftc_scenario", study, out
     required = mode == "custom"
     plant_cfg = _section(cfg, "plant", required)
     if plant_cfg is not None:
@@ -408,26 +426,17 @@ def _run_study(cfg: dict) -> ScenarioResult:
         study["bank"] = parse_bank(bank_cfg)
     est = _section(cfg, "estimator", required) or {}
     study.update(_given(est, "estimator", {"gamma": _positive, "theta_hat0": _numbers}))
-    return run_identification_scenario(horizon=horizon, step=step, **study)
+    return "run_identification_scenario", study, out
 
 
-def cmd_simulate(config_path: str, out_dir: str | None) -> int:
-    cfg = load_config(config_path)
-    out = resolve_out_dir(out_dir, cfg)
-    if _get(cfg, "mode") == "pe-check":
-        return _pe_check(cfg, out)
-    writer = OutputWriter(out)
-    write_result(writer, _run_study(cfg))
-    writer.manifest(cfg)
-    return 0
-
-
+_PE_FIELDS = {"mode": None, "out_dir": None, "signal": None, "threshold": _number}
 # the domains each pe-check signal kind is defined on; the first is the default
 _PE_DOMAINS = {"zero": ("ct", "dt"), "sinusoid-pair": ("ct",), "counterexample": ("dt",)}
-_PE_SIGNAL_FIELDS = {"kind": None, "domain": None, "horizon": _number, "step": _number}
 
 
-def _pe_domain(sig: dict, kind: str) -> str:
+def _parse_pe_check(cfg: dict) -> tuple[str, dict]:
+    sig = _section(cfg, "signal")
+    kind = sig.get("kind")
     domains = _PE_DOMAINS.get(kind) if isinstance(kind, str) else None
     if domains is None:
         raise _fail("signal.kind", f"unknown signal kind {kind!r}")
@@ -435,92 +444,58 @@ def _pe_domain(sig: dict, kind: str) -> str:
     if domain not in domains:
         expected = " or ".join(repr(d) for d in domains)
         raise _fail("signal.domain", f"expected {expected} for {kind}, got {domain!r}")
-    return domain
-
-
-def _pe_signal(sig: dict, kind: str, domain: str) -> Trajectory:
-    if kind == "zero":
-        step = DEFAULT_CT_STEP if domain == "ct" else DEFAULT_DT_STEP
-        given = {"horizon": 10.0, "step": step, "dim": 1,
-                 **_given(sig, "signal", {**_PE_SIGNAL_FIELDS, "dim": _integer})}
-        grid, dim = TimeGrid.from_horizon(given["horizon"], given["step"]), given["dim"]
-        if dim < 1:
-            raise _fail("signal.dim", f"must be at least 1, got {dim}")
-        vals = np.zeros((grid.count, dim)) if dim > 1 else np.zeros(grid.count)
-        return Trajectory(grid, vals, domain)
-    # sinusoid-pair: (sin t, cos t) sampled so the window is a grid multiple
-    given = {"horizon": 8.0 * np.pi, "step": 2 * np.pi / 6000,
-             **_given(sig, "signal", _PE_SIGNAL_FIELDS)}
-    grid = TimeGrid.from_horizon(given["horizon"], given["step"])
-    t = grid.times()
-    return Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), "ct")
-
-
-def _pe_check_text(cfg: dict) -> str:
-    sig = _section(cfg, "signal")
-    sig_kind = sig.get("kind")
-    domain = _pe_domain(sig, sig_kind)
-    if sig_kind == "counterexample":
+    if kind == "counterexample":
         given = _given(cfg, "", {**_PE_FIELDS, "max_window": _integer})
         given.update(_given(sig, "signal", {"kind": None, "domain": None, "horizon": _integer}))
-        report = counterexample_suite(**given)
-        lines = [
-            f"counterexample suite, horizon {report.horizon}, threshold {report.threshold}",
-            f"all windows below threshold: {report.all_below_threshold}",
-            f"energy final {report.energy_final:.6g} vs bound {report.energy_bound:.6g}"
-            f" (diverges: {report.energy_diverges})",
-            f"forward direction alpha {report.forward_alpha:.6g},"
-            f" energy {report.forward_energy_final:.6g} (linear: {report.forward_energy_linear})",
-            "window, alpha_hat",
-        ]
-        for K in sorted(report.alpha_by_window):
-            lines.append(f"{K}, {report.alpha_by_window[K]:.9g}")
-        return "\n".join(lines) + "\n"
-    phi = _pe_signal(sig, sig_kind, domain)
-    ct = phi.kind == "ct"
-    given = _given(cfg, "", {**_PE_FIELDS, "window": _number if ct else _integer}, ("window",))
-    report = (pe_check_ct if ct else pe_check_dt)(phi, **given)
+        return "_counterexample_report", given
+    readers = {"kind": None, "domain": None, "horizon": _nonnegative, "step": _positive}
+    if kind == "zero":
+        step = DEFAULT_CT_STEP if domain == "ct" else DEFAULT_DT_STEP
+        given = _given(sig, "signal", {**readers, "dim": _integer})
+        signal = {"horizon": 10.0, "step": step, "dim": 1, **given}
+        if signal["dim"] < 1:
+            raise _fail("signal.dim", f"must be at least 1, got {signal['dim']}")
+    else:  # sinusoid-pair: (sin t, cos t) sampled so the window is a grid multiple
+        given = _given(sig, "signal", readers)
+        signal = {"horizon": 8.0 * np.pi, "step": 2 * np.pi / 6000, **given}
+    window = _number if domain == "ct" else _integer
+    check = _given(cfg, "", {**_PE_FIELDS, "window": window}, ("window",))
+    return "_pe_report", {"kind": kind, "domain": domain, **signal, **check}
+
+
+def _pe_report(kind: str, domain: str, horizon: float, step: float, dim: int = 1, **check) -> str:
+    """The excitation certificate of a named signal, as report text."""
+    grid = TimeGrid.from_horizon(horizon, step)
+    if kind == "zero":
+        values = np.zeros((grid.count, dim)) if dim > 1 else np.zeros(grid.count)
+        phi = Trajectory(grid, values, domain)
+    else:
+        t = grid.times()
+        phi = Trajectory(grid, np.stack([np.sin(t), np.cos(t)], axis=1), domain)
+    report = (pe_check_ct if domain == "ct" else pe_check_dt)(phi, **check)
     return (
-        f"signal {sig_kind}, domain {phi.kind}, window {report.window},"
+        f"signal {kind}, domain {domain}, window {report.window},"
         f" threshold {report.threshold}\n"
         f"alpha_hat {report.alpha_hat:.9g}\n"
         f"verdict: {'PE' if report.is_pe else 'not PE'} over the tested horizon\n"
     )
 
 
-def _pe_check(cfg: dict, out: Path | None) -> int:
-    """``check-pe`` and ``simulate``: print the report, and write it to ``out`` if given."""
-    text = _pe_check_text(cfg)
-    if out is not None:
-        writer = OutputWriter(out)
-        writer.text("pe_report.txt", text)
-        writer.manifest(cfg)
-    print(text, end="")
-    return 0
-
-
-def cmd_check_pe(config_path: str, out_dir: str | None = None) -> int:
-    cfg = load_config(config_path)
-    if cfg.get("mode", "pe-check") != "pe-check":
-        raise _fail("mode", f"check-pe runs only mode 'pe-check', got {cfg['mode']!r}")
-    return _pe_check(cfg, _given_out_dir(out_dir, cfg))
-
-
-def _reproduce_config(figure_id: str) -> dict:
-    fields, horizon, _ = PRESETS[figure_id]
-    return {**fields, "grid": {"t0": 0.0, "step": DEFAULT_CT_STEP, "horizon": horizon}}
-
-
-def cmd_reproduce(figure_id: str, out_dir: str | None) -> int:
-    if figure_id not in FIGURE_IDS:
-        raise ConfigError(
-            f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
-        )
-    cfg = _reproduce_config(figure_id)
-    writer = OutputWriter(resolve_out_dir(out_dir, cfg))
-    write_result(writer, _run_study(cfg), t_range=PRESETS[figure_id][2])
-    writer.manifest(cfg)
-    return 0
+def _counterexample_report(**suite) -> str:
+    """The decaying-regressor counterexample suite, as report text."""
+    report = counterexample_suite(**suite)
+    lines = [
+        f"counterexample suite, horizon {report.horizon}, threshold {report.threshold}",
+        f"all windows below threshold: {report.all_below_threshold}",
+        f"energy final {report.energy_final:.6g} vs bound {report.energy_bound:.6g}"
+        f" (diverges: {report.energy_diverges})",
+        f"forward direction alpha {report.forward_alpha:.6g},"
+        f" energy {report.forward_energy_final:.6g} (linear: {report.forward_energy_linear})",
+        "window, alpha_hat",
+    ]
+    for K in sorted(report.alpha_by_window):
+        lines.append(f"{K}, {report.alpha_by_window[K]:.9g}")
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,13 +523,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure_id, args.out)
-        if args.command == "check-pe":
-            return cmd_check_pe(args.config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            if args.figure_id not in FIGURE_IDS:
+                raise ConfigError(
+                    f"unknown figure id {args.figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
+                )
+            fields, horizon, rows = PRESETS[args.figure_id]
+            cfg = {**fields, "grid": {"t0": 0.0, "step": DEFAULT_CT_STEP, "horizon": horizon}}
+        else:
+            cfg, rows = load_config(args.config), None
+        runner, kwargs, out = _parse(cfg, args.command, args.out)
+        # looked up when the study runs, so a runner rebound on this module is the one called
+        result = globals()[runner](**kwargs)
+        if out is not None:
+            writer = OutputWriter(out)
+            if isinstance(result, str):  # an excitation report
+                writer.text("pe_report.txt", result)
+            else:
+                write_result(writer, result, t_range=rows)
+            writer.manifest(cfg)
+        if isinstance(result, str):
+            print(result, end="")
+        return 0
     except ValueError as exc:  # ConfigError, or an argument the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1

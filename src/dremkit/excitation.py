@@ -173,6 +173,13 @@ def counterexample_suite(
 
     if max_window < 1:
         raise ValueError(f"max_window must be at least 1, got {max_window}")
+    # the widest scanned window and the forward direction's window of 2 each
+    # need one start inside the record
+    shortest = max(max_window, 2) + 1
+    if horizon < shortest:
+        raise ValueError(
+            f"horizon must be at least {shortest} for max_window {max_window}, got {horizon}"
+        )
     grid = TimeGrid(t0=0.0, step=1.0, count=horizon)
     k = np.arange(horizon)
     phi_vals = (k + 1.0) ** -0.25

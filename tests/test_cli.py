@@ -297,22 +297,26 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "line" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_field_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "identify"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "grid" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_mode_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"mode": "fly", "grid": {"step": 1e-3, "horizon": 1.0}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_out_dir_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, IDENTIFY_CFG)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main(["simulate", "--config", cfg, "--out", str(blocker)]) == 1
+        assert blocker.read_text() == "a file, not a directory"
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         import dremkit.cli as cli
@@ -323,6 +327,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "run_ftc_scenario", boom)
         cfg = write_config(tmp_path, FTC_CFG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_diverging_integration_exits_2_without_csvs(self, tmp_path, capsys):
         # gain 1e6 at h = 1e-3 is far outside RK4's stability region
@@ -332,20 +337,21 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert "numerical failure" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("t0", [5.0, "soon"])
     def test_nonzero_grid_t0_exits_1(self, tmp_path, capsys, t0):
         cfg = dict(IDENTIFY_CFG, grid={"t0": t0, "step": 1e-3, "horizon": 0.1})
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
         assert "grid.t0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_input_kind_with_plant_exits_1(self, tmp_path, capsys):
         cfg = dict(CUSTOM_CFG, mode="identify", input_kind="constant")
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert "input_kind" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, field, value",
@@ -365,13 +371,14 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_non_numeric_channel_signal_exits_1(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(CUSTOM_CFG))
         cfg["bank"]["channels"][0]["b"] = {"kind": "sinusoid", "amplitude": 1.0, "frequency": "slow"}
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 1
         assert "b.frequency" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "field", ["gamma", "clip_threshold", "delay_window", "theta_hat0"]
@@ -382,7 +389,7 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert f"ftc.{field}" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "base, section, value, field",
@@ -422,7 +429,7 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, cfg, field",
@@ -476,7 +483,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and field in captured.err
         assert not captured.out
-        assert not list(out.glob("*.csv")) and not (out / "pe_report.txt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_non_boolean_use_delayed_snapshot_exits_1(self, tmp_path, capsys, flag):
@@ -485,7 +492,7 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         assert "ftc.use_delayed_snapshot" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DREMKIT_OUT_DIR", str(tmp_path / "envout"))
@@ -504,6 +511,7 @@ class TestSimulate:
             {"mode": "custom", "grid": {"step": 1e-3, "horizon": 0.1}},
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_custom_mode_full_config(self, tmp_path):
         cfg = write_config(tmp_path, CUSTOM_CFG)
@@ -547,6 +555,7 @@ class TestSimulate:
             },
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestReproduce:
@@ -555,6 +564,7 @@ class TestReproduce:
         err = capsys.readouterr().err
         for fid in FIGURE_IDS:
             assert fid in err
+        assert not (tmp_path / "o").exists()
 
     def test_identification_preset(self, tmp_path):
         out = tmp_path / "fig"
@@ -682,7 +692,8 @@ class TestCheckPe:
 
     def test_malformed_config_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, {"signal": {"kind": "mystery"}})
-        assert main(["check-pe", "--config", cfg]) == 1
+        assert main(["check-pe", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "field, payload",
@@ -703,21 +714,44 @@ class TestCheckPe:
             ("signal.kind", {"signal": {"kind": ["zero"], "horizon": 1.0}, "window": 0.5}),
             ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": -3}, "window": 0.5}),
             ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": 0}, "window": 0.5}),
+            # the signal grids take the readers of "grid"
+            ("signal.step", {"signal": {"kind": "zero", "step": 0}, "window": 0.5}),
+            ("signal.step", {"signal": {"kind": "sinusoid-pair", "step": 0}, "window": 2 * np.pi}),
+            ("signal.step", {"signal": {"kind": "zero", "horizon": 1.0, "step": -1e-3}, "window": 0.5}),
+            ("signal.step", {"signal": {"kind": "sinusoid-pair", "step": -0.01}, "window": 2 * np.pi}),
+            ("signal.horizon", {"signal": {"kind": "zero", "horizon": -5.0}, "window": 0.5}),
+            ("signal.horizon", {"signal": {"kind": "sinusoid-pair", "horizon": -4.0}, "window": 2 * np.pi}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):
-        assert main(["check-pe", "--config", write_config(tmp_path, payload)]) == 1
-        assert repr(field) in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["check-pe", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_window", [0, -3])
     def test_counterexample_without_windows_exits_1(self, tmp_path, capsys, max_window):
         # an empty scan would report "all windows below threshold: True"
         signal = {"kind": "counterexample", "horizon": 100}
         cfg = write_config(tmp_path, {"signal": signal, "max_window": max_window})
-        assert main(["check-pe", "--config", cfg]) == 1
+        assert main(["check-pe", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         assert "max_window" in captured.err
         assert "all windows below threshold" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("horizon, max_window", [(0, None), (-3, None), (100, 100), (2, 1)])
+    def test_counterexample_record_too_short_exits_1(self, tmp_path, capsys, horizon, max_window):
+        cfg = {"signal": {"kind": "counterexample", "horizon": horizon}}
+        if max_window is not None:
+            cfg["max_window"] = max_window
+        out = tmp_path / "o"
+        assert main(["check-pe", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: horizon must be at least")
+        assert not captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("inf")])
     @pytest.mark.parametrize(
@@ -733,10 +767,12 @@ class TestCheckPe:
         cfg = json.loads(json.dumps(payload))
         section, _, key = field.rpartition(".")
         (cfg[section] if section else cfg)[key] = value
-        assert main(["check-pe", "--config", write_config(tmp_path, cfg)]) == 1
+        out = tmp_path / "o"
+        assert main(["check-pe", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert repr(field) in captured.err and "finite" in captured.err
         assert "verdict" not in captured.out
+        assert not out.exists()
 
 
 def test_resolve_out_dir_priority(tmp_path, monkeypatch):

@@ -252,6 +252,18 @@ class TestCounterexampleSuite:
         with pytest.raises(ValueError, match="max_window"):
             counterexample_suite(horizon=200, max_window=max_window)
 
+    @pytest.mark.parametrize("horizon, max_window", [(0, 100), (-3, 100), (100, 100), (2, 1), (3, 3)])
+    def test_record_shorter_than_a_window_rejected(self, horizon, max_window):
+        # the widest window and the forward direction's window of 2 need a start
+        with pytest.raises(ValueError, match="horizon must be at least"):
+            counterexample_suite(horizon=horizon, max_window=max_window)
+
+    @pytest.mark.parametrize("max_window", [1, 2, 100])
+    def test_shortest_record_accepted(self, max_window):
+        horizon = max(max_window, 2) + 1
+        report = counterexample_suite(horizon=horizon, max_window=max_window)
+        assert list(report.alpha_by_window) == list(range(1, max_window + 1))
+
     def test_alpha_at_horizon_matches_tail_sum(self):
         # the worst window is the one ending at the horizon
         report = counterexample_suite(horizon=5_000, max_window=3)

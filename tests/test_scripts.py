@@ -1,9 +1,14 @@
 """Smoke runs of the experiment scripts on short horizons."""
 
+import hashlib
 import json
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
+
+from dremkit.cli import FIGURE_IDS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,3 +44,17 @@ def test_run_excitation_scan(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "certificates all below threshold" in out
     assert "mixed-signal energy" in out
+
+
+def test_output_digests(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "output_digests.py", str(out))
+    assert exit_info.value.code == 0
+    listing = [line.split("  ", 1) for line in capsys.readouterr().out.splitlines()]
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert [path for _, path in listing] == written
+    for digest, path in listing:
+        assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest()
+    for figure_id in FIGURE_IDS:
+        assert f"{figure_id}/manifest.json" in written
