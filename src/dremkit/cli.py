@@ -2,8 +2,9 @@
 run manifest out.
 
 Every command runs one pipeline in ``main``: parse, then run, then write.
-``_parse`` validates the whole config and resolves the output directory,
-with no I/O and no numerics, and names the runner and its keyword arguments.
+``_parse`` validates the whole config and resolves and checks the output
+directory, with no numerics and creating nothing, and names the runner and
+its keyword arguments.
 The runner is looked up in this module when the study runs. Only once it
 has returned are the output directory and its files made: one CSV per run
 plus ``summary.txt`` by ``write_result``, or the excitation report, then
@@ -259,6 +260,22 @@ def resolve_out_dir(
     return None
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before the study runs, creating nothing, when ``out`` could not be
+    made: its nearest existing ancestor must be a writable directory."""
+    ancestor = out.absolute()
+    try:
+        while not ancestor.exists():
+            ancestor = ancestor.parent
+        usable = ancestor.is_dir() and os.access(ancestor, os.W_OK)
+    except OSError:
+        usable = False
+    if not usable:
+        raise ConfigError(
+            f"cannot create output directory {out}: {ancestor} is not a writable directory"
+        )
+
+
 def write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> int:
     """One header line, then one row per sample; CRLF line endings.
 
@@ -387,10 +404,11 @@ _FTC_FIELDS = {
 
 
 def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Path | None]:
-    """Validate ``cfg`` for ``command`` with no I/O and no numerics. Returns
-    the name of the runner in this module, its keyword arguments and the
-    output directory, which only ``check-pe`` may go without. An omitted
-    field takes the library's default."""
+    """Validate ``cfg`` for ``command`` with no numerics, creating nothing.
+    Returns the name of the runner in this module, its keyword arguments and
+    the output directory, which only ``check-pe`` may go without and whose
+    nearest existing ancestor must be a writable directory. An omitted field
+    takes the library's default."""
     if command == "check-pe":
         mode = cfg.get("mode", "pe-check")
         if mode != "pe-check":
@@ -398,6 +416,8 @@ def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Pa
     else:
         mode = _get(cfg, "mode")
     out = resolve_out_dir(out_flag, cfg, required=command != "check-pe")
+    if out is not None:
+        _check_out_dir(out)
     if mode == "pe-check":
         return (*_parse_pe_check(cfg), out)
     if not isinstance(mode, str) or mode not in _STUDY_FIELDS:

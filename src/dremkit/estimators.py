@@ -4,10 +4,12 @@ Continuous-time estimators integrate with fixed-step RK4, reading the data
 signals at half steps by linear interpolation between grid samples (the data
 only exists on the grid). Their dynamics are linear in the estimate, so every
 RK4 step is an affine map; the maps are built for the whole record at once
-and composed by a prefix scan (:mod:`dremkit.integrate`). Discrete-time
-estimators stay exact sequential recursions: their per-sample gains are
-computed as arrays, and the recursion itself runs over Python floats, one
-bounded block of samples converted at a time. The closed-form error envelopes
+and composed by a prefix scan (:mod:`dremkit.integrate`). The DT vector
+gradient is linear in the estimate too, and its exact step maps go through
+the same scan. Only ``drem_dt`` stays a sequential recursion over Python
+floats, one bounded block at a time, because c07's exact monotonicity and
+c06's DT 1e-12 envelope depend on its order of summation. Non-finite DT
+data raise ``FloatingPointError``. The closed-form error envelopes
 
     CT:  err(t) = exp(-gamma * int_0^t Delta^2) * err(0)
     DT:  err(k) = prod_{j=1..k} [1 / (1 + Delta(j)^2 / gamma)] * err(0)
@@ -28,7 +30,8 @@ from .mixing import MixedRegression
 from .quadrature import cumulative_energy
 from .signals import Trajectory, require_positive
 
-# samples per block of the DT recursions; bounds the Python floats alive at once
+# samples per block of drem_dt's sequential recursion; bounds the Python
+# floats alive at once
 _BLOCK = 1024
 
 
@@ -99,19 +102,31 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
 
 
+def _vector_gain(y: Trajectory, phi: Trajectory, cfg: GradientConfig, kind: str) -> float:
+    """The single gain of a vector estimator on scalar ``y`` and vector ``phi``
+    of ``kind`` on one grid."""
+    if not y.is_scalar or not phi.is_vector:
+        raise ValueError(f"{kind}_gradient expects scalar y and vector phi")
+    if y.grid != phi.grid or y.kind != kind or phi.kind != kind:
+        raise ValueError(f"signals must be {kind.upper()} on one grid")
+    gamma = cfg.gains(phi.dim)
+    if not np.all(gamma == gamma[0]):
+        raise ValueError("the vector estimator uses a single gain")
+    return gamma[0]
+
+
+def _require_finite(name: str, **signals: np.ndarray) -> None:
+    for label, values in signals.items():
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"{name}: non-finite {label} samples")
+
+
 def ct_gradient(
     y: Trajectory, phi: Trajectory, cfg: GradientConfig, theta_true=None
 ) -> EstimatorRun:
     """Vector gradient estimator theta_hat' = gamma * phi * (y - phi.theta_hat)."""
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError("ct_gradient expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != "ct" or phi.kind != "ct":
-        raise ValueError("signals must be CT on one grid")
+    g = _vector_gain(y, phi, cfg, "ct")
     m = phi.dim
-    gamma = cfg.gains(m)
-    if not np.all(gamma == gamma[0]):
-        raise ValueError("the vector estimator uses a single gain")
-    g = gamma[0]
     pv, yv = phi.values, y.values
     pm, ym = _midpoints(pv), _midpoints(yv)
 
@@ -136,33 +151,16 @@ def dt_gradient(
 
     run exactly for k >= 1; index 0 carries the initial estimate.
     """
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError("dt_gradient expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != "dt" or phi.kind != "dt":
-        raise ValueError("signals must be DT on one grid")
+    g = _vector_gain(y, phi, cfg, "dt")
     m = phi.dim
-    gamma = cfg.gains(m)
-    if not np.all(gamma == gamma[0]):
-        raise ValueError("the vector estimator uses a single gain")
-    g = gamma[0]
     pv, yv = phi.values, y.values
+    _require_finite("dt_gradient", y=yv, phi=pv)
     pp = np.einsum("ki,ki->k", pv, pv)
 
-    th = np.empty((y.grid.count, m))
-    x = cfg.initial(m).tolist()
-    th[0] = x
-    for start, stop in _blocks(y.grid.count):
-        p_blk = pv[start:stop]
-        gains = p_blk / (g + pp[start:stop])[:, None]
-        rows = []
-        for p, gain, yk in zip(p_blk.tolist(), gains.tolist(), yv[start:stop].tolist()):
-            s = 0.0
-            for p_i, x_i in zip(p, x):
-                s += p_i * x_i
-            e = yk - s
-            x = [x_i + g_i * e for x_i, g_i in zip(x, gain)]
-            rows.append(x)
-        th[start:stop] = rows
+    # theta_hat(k) = (I - g(k) phi(k)^T) theta_hat(k-1) + g(k) y(k) for k >= 1
+    gain = pv[1:] / (g + pp[1:])[:, None]
+    a = np.eye(m) - np.einsum("ki,kj->kij", gain, pv[1:])
+    th = affine_scan(a, gain * yv[1:, None], cfg.initial(m))
     hat = Trajectory(y.grid, th, "dt")
     diag = Trajectory(y.grid, pp, "dt")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
@@ -208,6 +206,7 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
     gamma = cfg.gains(m)
     grid = mixed.calY.grid
     D, Yc = mixed.Delta.values, mixed.calY.values
+    _require_finite("drem_dt", Delta=D, calY=Yc)
 
     th = np.empty((grid.count, m))
     th[0] = cfg.initial(m)

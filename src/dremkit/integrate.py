@@ -80,8 +80,9 @@ def affine_scan(a, b, x0) -> np.ndarray:
     passes over two work buffers per coefficient, so memory stays
     O(N * size of a).
 
-    Raises ``FloatingPointError`` when a state is not finite: the
-    integration diverged (for instance a gain too large for the step).
+    Raises ``FloatingPointError`` when a state is not finite: the recursion
+    diverged (for an RK4 step map, for instance, a gain too large for the
+    step) or its coefficients were not finite.
     """
     b = np.array(b, dtype=float)
     matrix = _is_matrix(a, b)
@@ -114,6 +115,7 @@ def affine_scan(a, b, x0) -> np.ndarray:
         x[1:] = _apply(a, x0, matrix) + b
     if not np.isfinite(x).all():
         raise FloatingPointError(
-            "integration diverged: non-finite state (step too large for the gain?)"
+            "recursion diverged: non-finite state (non-finite data, or a gain too"
+            " large for the integration step?)"
         )
     return x

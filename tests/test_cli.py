@@ -311,12 +311,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
 
-    def test_unwritable_out_dir_exits_1(self, tmp_path):
+    def test_unwritable_out_dir_exits_1(self, tmp_path, monkeypatch, capsys):
+        import dremkit.cli as cli
+
+        def never(**kwargs):
+            raise AssertionError("the study ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_identification_scenario", never)
         cfg = write_config(tmp_path, IDENTIFY_CFG)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        assert main(["simulate", "--config", cfg, "--out", str(blocker)]) == 1
+        for out in (blocker, blocker / "sub" / "dir"):
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+            assert "not a writable directory" in capsys.readouterr().err
         assert blocker.read_text() == "a file, not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "config.json"]
 
     def test_numerical_failure_exits_2(self, tmp_path, monkeypatch):
         import dremkit.cli as cli

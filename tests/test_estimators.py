@@ -168,6 +168,31 @@ class TestDtGradient:
         assert np.all(np.diff(norms) <= 0.0)
 
 
+class TestNonFiniteDtData:
+    # rejected by name before any arithmetic, so no RuntimeWarning escapes
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("signal", ["y", "phi"])
+    def test_dt_gradient(self, signal, bad):
+        grid = TimeGrid(0.0, 1.0, 6)
+        values = {"y": np.ones(6), "phi": np.ones((6, 2))}
+        values[signal][3] = bad
+        y, phi = (Trajectory(grid, values[k], "dt") for k in ("y", "phi"))
+        with pytest.raises(FloatingPointError, match=f"dt_gradient: non-finite {signal} "):
+            dt_gradient(y, phi, GradientConfig(1.0, np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("signal", ["Delta", "calY"])
+    def test_drem_dt(self, signal, bad):
+        grid = TimeGrid(0.0, 1.0, 6)
+        values = {"Delta": np.ones(6), "calY": np.ones((6, 2))}
+        values[signal][3] = bad
+        mixed = MixedRegression(
+            calY=Trajectory(grid, values["calY"], "dt"), Delta=Trajectory(grid, values["Delta"], "dt")
+        )
+        with pytest.raises(FloatingPointError, match=f"drem_dt: non-finite {signal} "):
+            drem_dt(mixed, GradientConfig(1.0, np.zeros(2)))
+
+
 class TestDremCt:
     def test_zero_delta_freezes(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
@@ -331,7 +356,8 @@ class TestClosedForms:
             assert np.all(np.abs(env.values[crossed]) <= eps * (1 + 1e-12))
 
 
-# Copies of the per-sample DT loops that the block-wise recursions replaced.
+# Copies of the per-sample DT loops that drem_dt's block-wise recursion and
+# dt_gradient's scan of step maps replaced.
 
 
 def old_dt_gradient(yv, pv, g, x0):
@@ -372,19 +398,28 @@ class TestDtRecursionsMatchOldLoops:
         run = drem_dt(mixed, GradientConfig(gamma, x0))
         np.testing.assert_array_equal(run.theta_hat.values, old_drem_dt(D, Yc, gamma, x0))
 
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_dt_gradient_to_rounding(self, count, rng):
-        # the loop's BLAS dot products and the recursion's sequential sums
-        # round differently, so agreement is to 1e-12 relative, not bit for bit
+    # every count at m = 1..4; the m = 3 cases keep the bare count as their id
+    @pytest.mark.parametrize(
+        "count, m",
+        [pytest.param(c, m, id=str(c) if m == 3 else f"{c}-m{m}") for m in (1, 2, 3, 4) for c in COUNTS],
+    )
+    def test_dt_gradient_to_rounding(self, count, m, rng):
+        # the scan composes the step maps in another order than the loop, so
+        # agreement is to 1e-12 relative, not bit for bit
         grid = TimeGrid(0.0, 1.0, count)
-        pv = rng.uniform(-2.0, 2.0, (count, 3))
-        yv = pv @ np.array([0.5, -1.0, 2.0]) + 0.05 * rng.normal(size=count)
-        x0 = np.array([-1.0, 0.5, 3.0])
-        run = dt_gradient(
-            Trajectory(grid, yv, "dt"), Trajectory(grid, pv, "dt"), GradientConfig(1.3, x0)
-        )
+        pv = rng.uniform(-2.0, 2.0, (count, m))
+        yv = pv @ np.linspace(-1.0, 2.0, m) + 0.05 * rng.normal(size=count)
+        x0 = np.linspace(3.0, -1.0, m)
+        phi = Trajectory(grid, pv, "dt")
+        run = dt_gradient(Trajectory(grid, yv, "dt"), phi, GradientConfig(1.3, x0))
         ref = old_dt_gradient(yv, pv, 1.3, x0)
         np.testing.assert_allclose(
             run.theta_hat.values, ref, rtol=0, atol=1e-12 * np.abs(ref).max()
         )
         np.testing.assert_array_equal(run.diagnostics.values, np.einsum("ki,ki->k", pv, pv))
+        # homogeneous error dynamics (y = 0, theta = 0): the error norm may
+        # rise only by rounding, as perfbench's "DT gradient |err|
+        # non-increasing" bounds it
+        homog = dt_gradient(Trajectory(grid, np.zeros(count), "dt"), phi, GradientConfig(1.3, x0))
+        norms = np.linalg.norm(homog.theta_hat.values, axis=1)
+        assert np.all(np.diff(norms) <= 1e-12 * np.linalg.norm(x0))
