@@ -9,12 +9,13 @@ The runner is looked up in this module when the study runs. Only once it
 has returned are the output directory and its files made: one CSV per run
 plus ``summary.txt`` by ``write_result``, or the excitation report, then
 ``manifest.json``. A ``reproduce`` preset is a config plus the rows it keeps.
-Scripts call ``write_result`` on their own study runs. A field a config
-omits takes the library's default, and one that no study reads is an error.
+A field a config omits takes the library's default, and one that no study
+reads is an error.
 
 Exit codes: 0 = ran to completion, 1 = configuration error (a missing,
 unknown or malformed field, or a value the library rejects with ValueError),
-2 = runtime numerical failure. Exit 1 or 2 creates no output directory and
+2 = runtime numerical failure (a diverging integration, non-finite data, or
+finite data that overflow). Exit 1 or 2 creates no output directory and
 writes no file. Output locations resolve as --out flag, then the config's
 "out_dir", then the DREMKIT_OUT_DIR environment variable.
 

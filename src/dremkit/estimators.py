@@ -8,8 +8,10 @@ and composed by a prefix scan (:mod:`dremkit.integrate`). The DT vector
 gradient is linear in the estimate too, and its exact step maps go through
 the same scan. Only ``drem_dt`` stays a sequential recursion over Python
 floats, one bounded block at a time, because c07's exact monotonicity and
-c06's DT 1e-12 envelope depend on its order of summation. Non-finite DT
-data raise ``FloatingPointError``. The closed-form error envelopes
+c06's DT 1e-12 envelope depend on its order of summation. Non-finite data
+raise ``FloatingPointError`` naming the signal, as does a DT |phi|^2 or
+Delta^2 that overflows; overflow while building the CT step maps reaches
+the scan's non-finite check. The closed-form error envelopes
 
     CT:  err(t) = exp(-gamma * int_0^t Delta^2) * err(0)
     DT:  err(k) = prod_{j=1..k} [1 / (1 + Delta(j)^2 / gamma)] * err(0)
@@ -128,13 +130,15 @@ def ct_gradient(
     g = _vector_gain(y, phi, cfg, "ct")
     m = phi.dim
     pv, yv = phi.values, y.values
-    pm, ym = _midpoints(pv), _midpoints(yv)
+    _require_finite("ct_gradient", y=yv, phi=pv)
 
     # theta_hat' = L theta_hat + f with L = -g phi phi^T and f = g phi y
     def stage(p, yy):
         return -g * np.einsum("ki,kj->kij", p, p), g * p * yy[:, None]
 
-    (L0, f0), (Lm, fm), (L1, f1) = stage(pv[:-1], yv[:-1]), stage(pm, ym), stage(pv[1:], yv[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # affine_scan raises on overflow
+        pm, ym = _midpoints(pv), _midpoints(yv)
+        (L0, f0), (Lm, fm), (L1, f1) = stage(pv[:-1], yv[:-1]), stage(pm, ym), stage(pv[1:], yv[1:])
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, y.grid.step), cfg.initial(m))
     hat = Trajectory(y.grid, th, "ct")
     diag = Trajectory(y.grid, np.einsum("ki,ki->k", pv, pv), "ct")
@@ -155,12 +159,16 @@ def dt_gradient(
     m = phi.dim
     pv, yv = phi.values, y.values
     _require_finite("dt_gradient", y=yv, phi=pv)
-    pp = np.einsum("ki,ki->k", pv, pv)
 
     # theta_hat(k) = (I - g(k) phi(k)^T) theta_hat(k-1) + g(k) y(k) for k >= 1
-    gain = pv[1:] / (g + pp[1:])[:, None]
-    a = np.eye(m) - np.einsum("ki,kj->kij", gain, pv[1:])
-    th = affine_scan(a, gain * yv[1:, None], cfg.initial(m))
+    # |phi|^2 is checked below, and affine_scan raises on any other overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = np.einsum("ki,ki->k", pv, pv)
+        gain = pv[1:] / (g + pp[1:])[:, None]
+        a = np.eye(m) - np.einsum("ki,kj->kij", gain, pv[1:])
+        b = gain * yv[1:, None]
+    _require_finite("dt_gradient", **{"|phi|^2": pp})
+    th = affine_scan(a, b, cfg.initial(m))
     hat = Trajectory(y.grid, th, "dt")
     diag = Trajectory(y.grid, pp, "dt")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
@@ -179,13 +187,15 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
     gamma = cfg.gains(m)
     grid = mixed.calY.grid
     D, Yc = mixed.Delta.values, mixed.calY.values
-    Dm, Ym = _midpoints(D), _midpoints(Yc)
+    _require_finite("drem_ct", Delta=D, calY=Yc)
 
     # per component: theta_hat_i' = -gamma_i Delta^2 theta_hat_i + gamma_i Delta calY_i
     def stage(d, yy):
         return -gamma * (d * d)[:, None], gamma * d[:, None] * yy
 
-    (L0, f0), (Lm, fm), (L1, f1) = stage(D[:-1], Yc[:-1]), stage(Dm, Ym), stage(D[1:], Yc[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # affine_scan raises on overflow
+        Dm, Ym = _midpoints(D), _midpoints(Yc)
+        (L0, f0), (Lm, fm), (L1, f1) = stage(D[:-1], Yc[:-1]), stage(Dm, Ym), stage(D[1:], Yc[1:])
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, grid.step), cfg.initial(m))
     hat = Trajectory(grid, th, "ct")
     return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta)
@@ -207,6 +217,9 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
     grid = mixed.calY.grid
     D, Yc = mixed.Delta.values, mixed.calY.values
     _require_finite("drem_dt", Delta=D, calY=Yc)
+    with np.errstate(over="ignore"):
+        D2 = D * D
+    _require_finite("drem_dt", **{"Delta^2": D2})
 
     th = np.empty((grid.count, m))
     th[0] = cfg.initial(m)
@@ -214,7 +227,7 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
         x = float(th[0, i])
         for start, stop in _blocks(grid.count):
             d_blk = D[start:stop]
-            gains = d_blk / (gamma[i] + d_blk * d_blk)
+            gains = d_blk / (gamma[i] + D2[start:stop])
             lane = []
             for g, yk, d in zip(gains.tolist(), Yc[start:stop, i].tolist(), d_blk.tolist()):
                 x = x + g * (yk - d * x)

@@ -50,20 +50,24 @@ def rk4_affine(L0, Lm, L1, f0, fm, f1, h: float):
     Each stage is tracked as ``k_i = A_i x + B_i``; the returned ``a`` is
     ``I + h/6 (A1 + 2 A2 + 2 A3 + A4)`` and ``b`` is
     ``h/6 (B1 + 2 B2 + 2 B3 + B4)``.
+
+    Coefficients that overflow come out non-finite, without a warning;
+    :func:`affine_scan` then raises on the states they produce.
     """
     f0, fm, f1 = (np.asarray(v, dtype=float) for v in (f0, fm, f1))
     matrix = _is_matrix(L0, f0)
     one = np.eye(f0.shape[-1]) if matrix else 1.0
     hh = 0.5 * h
-    A1, B1 = L0, f0
-    A2 = _compose(Lm, one + hh * A1, matrix)
-    B2 = _apply(Lm, hh * B1, matrix) + fm
-    A3 = _compose(Lm, one + hh * A2, matrix)
-    B3 = _apply(Lm, hh * B2, matrix) + fm
-    A4 = _compose(L1, one + h * A3, matrix)
-    B4 = _apply(L1, h * B3, matrix) + f1
-    a = one + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
-    b = (h / 6.0) * (B1 + 2.0 * B2 + 2.0 * B3 + B4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1, B1 = L0, f0
+        A2 = _compose(Lm, one + hh * A1, matrix)
+        B2 = _apply(Lm, hh * B1, matrix) + fm
+        A3 = _compose(Lm, one + hh * A2, matrix)
+        B3 = _apply(Lm, hh * B2, matrix) + fm
+        A4 = _compose(L1, one + h * A3, matrix)
+        B4 = _apply(L1, h * B3, matrix) + f1
+        a = one + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+        b = (h / 6.0) * (B1 + 2.0 * B2 + 2.0 * B3 + B4)
     return a, b
 
 
@@ -82,7 +86,8 @@ def affine_scan(a, b, x0) -> np.ndarray:
 
     Raises ``FloatingPointError`` when a state is not finite: the recursion
     diverged (for an RK4 step map, for instance, a gain too large for the
-    step) or its coefficients were not finite.
+    step) or its coefficients were not finite, as when building them from
+    finite but huge data overflowed.
     """
     b = np.array(b, dtype=float)
     matrix = _is_matrix(a, b)
@@ -115,7 +120,7 @@ def affine_scan(a, b, x0) -> np.ndarray:
         x[1:] = _apply(a, x0, matrix) + b
     if not np.isfinite(x).all():
         raise FloatingPointError(
-            "recursion diverged: non-finite state (non-finite data, or a gain too"
-            " large for the integration step?)"
+            "recursion diverged: non-finite state (non-finite or overflowing data, or a"
+            " gain too large for the integration step?)"
         )
     return x

@@ -3,7 +3,8 @@
 ``cumulative_energy`` is the only integral of Delta^2: the error envelopes,
 the finite-time weights and activation times and the excitation-energy
 checks all read it, so quotient identities between them hold to rounding
-error. Its CT rule, ``cumulative_simpson``, also integrates the Gramians.
+error, and its check on Delta is theirs. Its CT rule,
+``cumulative_simpson``, also integrates the Gramians.
 """
 
 from __future__ import annotations
@@ -39,14 +40,23 @@ def cumulative_energy(delta: Trajectory) -> Trajectory:
     The DT sum is exactly non-decreasing; the CT integral is non-decreasing
     up to the Simpson rule's local truncation error (order step^3) near
     zeros of the signal.
+
+    Raises ``FloatingPointError`` when Delta is not finite, or when Delta^2
+    or its integral overflows.
     """
     if not delta.is_scalar:
         raise ValueError("cumulative_energy expects a scalar trajectory")
-    sq = delta.values * delta.values
-    if delta.kind == "ct":
-        out = cumulative_simpson(sq, delta.grid.step)
-    else:
-        out = np.cumsum(sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = delta.values * delta.values
+        if delta.kind == "ct":
+            out = cumulative_simpson(sq, delta.grid.step)
+        else:
+            out = np.cumsum(sq)
+    if not (np.isfinite(sq).all() and np.isfinite(out).all()):
+        raise FloatingPointError(
+            "cumulative_energy: non-finite Delta^2 (Delta is not finite, or its square"
+            " or integral overflows)"
+        )
     return delta.with_values(out)
 
 

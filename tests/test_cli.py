@@ -348,6 +348,17 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", [1e60, 1e200])
+    def test_overflowing_input_exits_2_without_warning(self, tmp_path, capsys, amplitude):
+        # finite inputs whose products overflow; a RuntimeWarning would fail
+        # the suite before the exit code is read
+        cfg = json.loads(json.dumps(CUSTOM_CFG))
+        cfg["plant"]["input"]["amplitude"] = amplitude
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t0", [5.0, "soon"])
     def test_nonzero_grid_t0_exits_1(self, tmp_path, capsys, t0):
         cfg = dict(IDENTIFY_CFG, grid={"t0": t0, "step": 1e-3, "horizon": 0.1})

@@ -193,6 +193,59 @@ class TestNonFiniteDtData:
             drem_dt(mixed, GradientConfig(1.0, np.zeros(2)))
 
 
+class TestNonFiniteCtData:
+    # rejected by name before any arithmetic, so no RuntimeWarning escapes
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("signal", ["y", "phi"])
+    def test_ct_gradient(self, signal, bad):
+        grid = TimeGrid(0.0, 1e-3, 6)
+        values = {"y": np.ones(6), "phi": np.ones((6, 2))}
+        values[signal][3] = bad
+        y, phi = (Trajectory(grid, values[k], "ct") for k in ("y", "phi"))
+        with pytest.raises(FloatingPointError, match=f"ct_gradient: non-finite {signal} "):
+            ct_gradient(y, phi, GradientConfig(1.0, np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("signal", ["Delta", "calY"])
+    def test_drem_ct(self, signal, bad):
+        grid = TimeGrid(0.0, 1e-3, 6)
+        values = {"Delta": np.ones(6), "calY": np.ones((6, 2))}
+        values[signal][3] = bad
+        mixed = MixedRegression(
+            calY=Trajectory(grid, values["calY"], "ct"), Delta=Trajectory(grid, values["Delta"], "ct")
+        )
+        with pytest.raises(FloatingPointError, match=f"drem_ct: non-finite {signal} "):
+            drem_ct(mixed, GradientConfig(1.0, np.zeros(2)))
+
+
+class TestOverflowingData:
+    # one finite sample of 1e200 squares to inf: each estimator raises, and
+    # under the suite's error::RuntimeWarning filter no overflow warning escapes
+    @pytest.mark.parametrize(
+        "estimator, kind, match",
+        [(ct_gradient, "ct", "non-finite state"), (dt_gradient, "dt", r"dt_gradient: non-finite \|phi\|\^2 ")],
+    )
+    def test_vector_estimators(self, estimator, kind, match):
+        grid = TimeGrid(0.0, 1e-3, 6)
+        phi = np.ones((6, 2))
+        phi[3, 0] = 1e200
+        y, phi = Trajectory(grid, np.ones(6), kind), Trajectory(grid, phi, kind)
+        with pytest.raises(FloatingPointError, match=match):
+            estimator(y, phi, GradientConfig(1.0, np.zeros(2)))
+
+    @pytest.mark.parametrize(
+        "estimator, kind, match",
+        [(drem_ct, "ct", "non-finite state"), (drem_dt, "dt", r"drem_dt: non-finite Delta\^2 ")],
+    )
+    def test_mixed_estimators(self, estimator, kind, match):
+        grid = TimeGrid(0.0, 1e-3, 6)
+        delta = np.ones(6)
+        delta[3] = 1e200
+        mixed = exact_mixed(Trajectory(grid, delta, kind), [1.0, -1.0])
+        with pytest.raises(FloatingPointError, match=match):
+            estimator(mixed, GradientConfig(1.0, np.zeros(2)))
+
+
 class TestDremCt:
     def test_zero_delta_freezes(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)

@@ -334,6 +334,27 @@ class TestPipelines:
         assert np.abs(plain.theta_ftc.values[tail] - hat.values[tail]).max() <= 1e-3
 
 
+class TestBadDelta:
+    # cumulative_energy integrates Delta^2 for every reader, so its check is
+    # theirs: a NaN, an infinity or a square that overflows raises, and no
+    # RuntimeWarning escapes
+    READERS = {
+        "run_ftc": lambda hat, delta: run_ftc(hat, delta, FtcConfig(gamma=2.0)),
+        "run_ftc_alert": lambda hat, delta: run_ftc_alert(hat, delta, FtcConfig(gamma=2.0)),
+        "closed_form_error_ct": lambda hat, delta: closed_form_error_ct(delta, 2.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_raises(self, reader, bad):
+        delta = sine_delta(1.0)
+        values = delta.values.copy()
+        values[400] = bad
+        hat = ct_scalar(np.ones(delta.grid.count))
+        with pytest.raises(FloatingPointError, match=r"cumulative_energy: non-finite Delta\^2"):
+            self.READERS[reader](hat, delta.with_values(values))
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dremkit.quadrature import cumulative_simpson, lagged_difference, window_steps
+from dremkit.quadrature import cumulative_energy, cumulative_simpson, lagged_difference, window_steps
+from dremkit.signals import TimeGrid, Trajectory
 
 
 def test_exact_on_quadratic_at_even_indices():
@@ -30,6 +31,18 @@ def test_single_sample_and_empty_tail():
     assert cumulative_simpson(np.array([3.0]), 0.1)[0] == 0.0
     out = cumulative_simpson(np.array([1.0, 1.0]), 0.5)
     np.testing.assert_allclose(out, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["ct", "dt"])
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, np.nan, 1.0], [np.inf, 1.0, 1.0], [1.0, 1.0, 1e200], [1e154] * 5, [np.nan]],
+    ids=["nan", "inf", "square-overflows", "integral-overflows", "one-nan-sample"],
+)
+def test_cumulative_energy_rejects_non_finite_energy(kind, values):
+    delta = Trajectory(TimeGrid(0.0, 1.0, len(values)), np.array(values), kind)
+    with pytest.raises(FloatingPointError, match=r"cumulative_energy: non-finite Delta\^2"):
+        cumulative_energy(delta)
 
 
 def test_leading_axis_broadcast():
