@@ -252,12 +252,20 @@ def closed_form_error_ct(
 def closed_form_error_dt(
     delta: Trajectory, gamma: float, theta_tilde0: float
 ) -> Trajectory:
-    """Running-product error envelope matching the DT recursion exactly."""
+    """Running-product error envelope matching the DT recursion exactly.
+
+    Raises ``FloatingPointError`` when Delta is not finite or Delta^2
+    overflows, as :func:`drem_dt` does.
+    """
     if not delta.is_scalar or delta.kind != "dt":
         raise ValueError("closed_form_error_dt expects a scalar DT Delta")
     require_positive(gamma, "gamma")
-    d2 = delta.values * delta.values
-    factors = 1.0 / (1.0 + d2 / gamma)
+    _require_finite("closed_form_error_dt", Delta=delta.values)
+    with np.errstate(over="ignore"):
+        d2 = delta.values * delta.values
+        _require_finite("closed_form_error_dt", **{"Delta^2": d2})
+        # a finite Delta^2 / gamma that overflows gives the factor's limit, 0
+        factors = 1.0 / (1.0 + d2 / gamma)
     factors = factors.copy()
     factors[0] = 1.0  # index 0 is the initial condition, no update
     return Trajectory(delta.grid, np.cumprod(factors) * theta_tilde0, "dt")

@@ -51,9 +51,30 @@ def _as_vector_values(phi: Trajectory) -> np.ndarray:
     return phi.values[:, None] if phi.is_scalar else phi.values
 
 
-def _report(window, threshold: float, grams: np.ndarray, times: np.ndarray) -> PeReport:
-    """Certificate from the windowed Gramians, one per start time."""
-    eigs = grams[:, 0, 0].copy() if grams.shape[1] == 1 else np.linalg.eigvalsh(grams)[:, 0]
+def _smallest_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric Gramian: the entry itself for
+    m = 1, the closed form (a + c)/2 - hypot((a - c)/2, b) for m = 2 and
+    ``eigvalsh`` above that."""
+    m = grams.shape[1]
+    if m == 1:
+        return grams[:, 0, 0].copy()
+    if m == 2:
+        a, b, c = grams[:, 0, 0], grams[:, 1, 0], grams[:, 1, 1]
+        # halving each term first keeps a + c from overflowing
+        return (0.5 * a + 0.5 * c) - np.hypot(0.5 * (a - c), b)
+    return np.linalg.eigvalsh(grams)[:, 0]
+
+
+def _report(name: str, window, threshold: float, grams: np.ndarray, times: np.ndarray) -> PeReport:
+    """Certificate from the windowed Gramians, one per start time.
+
+    ``phi`` is finite when this runs, so a non-finite Gramian means that an
+    outer product or a window sum overflowed; ``name`` names the check in
+    the ``FloatingPointError`` raised then.
+    """
+    if not np.isfinite(grams).all():
+        raise FloatingPointError(f"{name}: phi phi^T or its window sums overflow")
+    eigs = _smallest_eigenvalues(grams)
     alpha = float(eigs.min())
     return PeReport(
         window=window,
@@ -76,9 +97,10 @@ def pe_check_ct(
     lag = window_steps(window, phi.grid.step, "window")
     if phi.grid.horizon < 2 * window:
         raise ValueError("horizon must cover at least two windows")
-    outer = np.einsum("ki,kj->kij", vals, vals)
-    grams = lagged_difference(cumulative_simpson(outer, phi.grid.step), lag)[lag:]
-    return _report(window, threshold, grams, phi.times())
+    with np.errstate(over="ignore", invalid="ignore"):  # _report raises on overflow
+        outer = np.einsum("ki,kj->kij", vals, vals)
+        grams = lagged_difference(cumulative_simpson(outer, phi.grid.step), lag)[lag:]
+    return _report("pe_check_ct", window, threshold, grams, phi.times())
 
 
 def _whole_window(window) -> int:
@@ -103,15 +125,18 @@ def _pe_scan_dt(phi: Trajectory, windows, threshold: float):
         raise ValueError(f"window {windows[0]} must be at least the dimension {m}")
     if windows and n < windows[-1] + 1:
         raise ValueError("record too short for this window")
-    outer = np.einsum("ki,kj->kij", vals, vals)
+    with np.errstate(over="ignore"):  # _report raises on overflow
+        outer = np.einsum("ki,kj->kij", vals, vals)
     times = phi.times()
     sums, filled = outer[1:].copy(), 1
     for window in windows:
-        for K in range(filled + 1, window + 1):
-            sums = sums[:-1]
-            sums += outer[K:]
+        # the errstate must not span the yield, or the caller would run under it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for K in range(filled + 1, window + 1):
+                sums = sums[:-1]
+                sums += outer[K:]
         filled = window
-        yield _report(window, threshold, sums, times)
+        yield _report("pe_check_dt", window, threshold, sums, times)
 
 
 def pe_check_dt(

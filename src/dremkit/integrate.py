@@ -71,6 +71,78 @@ def rk4_affine(L0, Lm, L1, f0, fm, f1, h: float):
     return a, b
 
 
+def _dot_planes(left, right, out, work) -> None:
+    """``out = sum_k left[k] * right[k]`` over length-N planes, summed in
+    ``k`` order, with ``work`` holding one product at a time."""
+    np.multiply(left[0], right[0], out=out)
+    for k in range(1, len(left)):
+        np.multiply(left[k], right[k], out=work)
+        out += work
+
+
+def _matrix_scan(a, b, x0: np.ndarray) -> np.ndarray:
+    """:func:`affine_scan` of ``(N, n, n)`` maps, held as component planes.
+
+    ``A[i, j]`` and ``B[i]`` are the length-N sequences of one coefficient,
+    so a pass composes all N maps with n^3 + n^2 length-N multiplies and
+    adds into preallocated buffers, not N small matrix products.
+    """
+    # fresh copies, since the passes write into both buffers of each pair:
+    # for n = 1 the moved axes of the caller's array are already contiguous,
+    # so np.ascontiguousarray would hand back the caller's array itself
+    A = np.array(np.moveaxis(np.asarray(a, dtype=float), 0, -1), order="C")
+    B = np.array(b.T, order="C")
+    n, count = B.shape
+    A_next, B_next = np.empty_like(A), np.empty_like(B)
+    work = np.empty(count)
+    d = 1
+    while d < count:
+        # entry k holds the composition of maps k-d+1..k; composing it
+        # after entry k-d extends it back to map k-2d+1 (or to map 0)
+        A_next[..., :d], B_next[:, :d] = A[..., :d], B[:, :d]
+        part = work[: count - d]
+        for i in range(n):
+            _dot_planes(A[i, :, d:], B[:, :-d], B_next[i, d:], part)
+            B_next[i, d:] += B[i, d:]
+            for j in range(n):
+                _dot_planes(A[i, :, d:], A[:, j, :-d], A_next[i, j, d:], part)
+        A, A_next = A_next, A
+        B, B_next = B_next, B
+        d *= 2
+    # x[k+1] = A[k] x0 + B[k], formed in the spare B buffer
+    for i in range(n):
+        _dot_planes(A[i], x0, B_next[i], work)
+        B_next[i] += B[i]
+    x = np.empty((count + 1, n))
+    x[0] = x0
+    x[1:] = B_next.T
+    return x
+
+
+def _elementwise_scan(a, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """:func:`affine_scan` of maps that act on each component alone."""
+    b = np.array(b)
+    count = b.shape[0]
+    # a map shared by all components (a scalar) gets a time axis only
+    steps = (count,) + (1,) * (b.ndim - 1)
+    a = np.broadcast_to(a, np.broadcast_shapes(np.shape(a), steps))
+    a = np.array(a, dtype=float)
+    a_next, b_next = np.empty_like(a), np.empty_like(b)
+    x = np.empty((count + 1,) + b.shape[1:])
+    d = 1
+    while d < count:
+        a_next[:d], b_next[:d] = a[:d], b[:d]
+        np.multiply(a[d:], b[:-d], out=b_next[d:])
+        np.multiply(a[d:], a[:-d], out=a_next[d:])
+        b_next[d:] += b[d:]
+        a, a_next = a_next, a
+        b, b_next = b_next, b
+        d *= 2
+    x[0] = x0
+    x[1:] = a * x0 + b
+    return x
+
+
 def affine_scan(a, b, x0) -> np.ndarray:
     """States ``x[0..N]`` of the recursion ``x_{k+1} = a_k x_k + b_k``.
 
@@ -82,42 +154,20 @@ def affine_scan(a, b, x0) -> np.ndarray:
 
     are formed by a Hillis-Steele inclusive scan in ceil(log2 N) vectorised
     passes over two work buffers per coefficient, so memory stays
-    O(N * size of a).
+    O(N * size of a). Matrix maps are held as component planes of shapes
+    ``(n, n, N)`` and ``(n, N)``, so a pass is n^3 + n^2 length-N
+    multiply-adds rather than N small matrix products, whose per-matrix
+    overhead dominates at n <= 3.
 
     Raises ``FloatingPointError`` when a state is not finite: the recursion
     diverged (for an RK4 step map, for instance, a gain too large for the
     step) or its coefficients were not finite, as when building them from
     finite but huge data overflowed.
     """
-    b = np.array(b, dtype=float)
-    matrix = _is_matrix(a, b)
-    count = b.shape[0]
-    if not matrix:
-        # a map shared by all components (a scalar) gets a time axis only
-        steps = (count,) + (1,) * (b.ndim - 1)
-        a = np.broadcast_to(a, np.broadcast_shapes(np.shape(a), steps))
-    a = np.array(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    a_next, b_next = np.empty_like(a), np.empty_like(b)
-    x = np.empty((count + 1,) + b.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        d = 1
-        while d < count:
-            # entry k holds the composition of maps k-d+1..k; composing it
-            # after entry k-d extends it back to map k-2d+1 (or to map 0)
-            a_next[:d], b_next[:d] = a[:d], b[:d]
-            if matrix:
-                np.matmul(a[d:], b[:-d, :, None], out=b_next[d:, :, None])
-                np.matmul(a[d:], a[:-d], out=a_next[d:])
-            else:
-                np.multiply(a[d:], b[:-d], out=b_next[d:])
-                np.multiply(a[d:], a[:-d], out=a_next[d:])
-            b_next[d:] += b[d:]
-            a, a_next = a_next, a
-            b, b_next = b_next, b
-            d *= 2
-        x[0] = x0
-        x[1:] = _apply(a, x0, matrix) + b
+        x = _matrix_scan(a, b, x0) if _is_matrix(a, b) else _elementwise_scan(a, b, x0)
     if not np.isfinite(x).all():
         raise FloatingPointError(
             "recursion diverged: non-finite state (non-finite or overflowing data, or a"

@@ -394,6 +394,20 @@ class TestClosedForms:
         env = closed_form_error_dt(Trajectory(grid, np.ones(6), "dt"), 1.0, 1.0)
         np.testing.assert_allclose(env.values, 0.5 ** np.arange(6), rtol=1e-14)
 
+    @pytest.mark.parametrize("bad, label", [(np.nan, "Delta"), (-np.inf, "Delta"), (1e200, r"Delta\^2")])
+    def test_dt_bad_delta_raises(self, bad, label):
+        # a NaN used to give a NaN envelope from its index on, and 1e200 an
+        # overflow warning from squaring
+        delta = np.ones(6)
+        delta[3] = bad
+        with pytest.raises(FloatingPointError, match=f"closed_form_error_dt: non-finite {label} "):
+            closed_form_error_dt(dt_scalar(delta), 1.0, 1.0)
+
+    def test_dt_factor_overflow_is_its_limit(self):
+        # Delta^2 = 1e300 is finite, Delta^2 / gamma is not: the factor is 0
+        env = closed_form_error_dt(dt_scalar([1.0, 1.0, 1e150, 1.0]), 1e-10, 1.0)
+        np.testing.assert_array_equal(env.values[2:], [0.0, 0.0])
+
     def test_convergence_certificate(self, rng):
         # once the accumulated energy passes -ln(eps)/gamma the envelope is
         # below eps times the initial error

@@ -50,6 +50,16 @@ class TestPeCheckCt:
         with pytest.raises(ValueError):
             pe_check_ct(phi, 2.0)
 
+    @pytest.mark.parametrize("big", [1e200, 1e154])
+    def test_overflow_names_phi(self, big):
+        # 1e200 overflows phi phi^T, and two samples of 1e154 overflow the
+        # integral; both used to end in RuntimeWarning: invalid value
+        grid = TimeGrid.from_horizon(1.0, 1e-2)
+        vals = np.ones(grid.count)
+        vals[30:32] = big
+        with pytest.raises(FloatingPointError, match=r"pe_check_ct: phi phi\^T or its window sums overflow"):
+            pe_check_ct(Trajectory(grid, vals, "ct"), 0.2)
+
     def test_windows_positive_semidefinite(self, rng):
         grid = TimeGrid.from_horizon(6.0, 1e-2)
         t = grid.times()
@@ -114,6 +124,15 @@ class TestPeCheckDt:
         with pytest.raises(ValueError, match="non-finite"):
             pe_check_ct(Trajectory(grid, ct_vals, "ct"), 0.2)
 
+    @pytest.mark.parametrize("big", [1e200, 1e154])
+    def test_overflow_names_phi(self, big):
+        # 1e200 overflows phi phi^T, and two samples of 1e154 overflow a
+        # window sum; both used to give alpha_hat nan and the verdict "not PE"
+        vals = np.ones((20, 2))
+        vals[7:9, 0] = big
+        with pytest.raises(FloatingPointError, match=r"pe_check_dt: phi phi\^T or its window sums overflow"):
+            pe_check_dt(self.make(vals), 2)
+
     def test_window_below_dimension_rejected(self, rng):
         vals = rng.normal(size=(20, 2))
         with pytest.raises(ValueError):
@@ -166,6 +185,27 @@ class TestPeScanDt:
             single = pe_check_dt(phi, K)
             np.testing.assert_array_equal(single.min_eigenvalues, report.min_eigenvalues)
             assert single.alpha_hat == report.alpha_hat
+
+    @given(
+        n=st.integers(4, 80),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        spread=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_near_singular_pairs_match_brute_force(self, n, seed, scale, spread, data):
+        # m = 2 takes the closed-form smallest eigenvalue; samples near one
+        # direction give Gramians that are singular or nearly so
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=2)
+        vals = scale * (rng.normal(size=(n, 1)) * direction + spread * rng.normal(size=(n, 2)))
+        K = data.draw(st.integers(2, n - 1))
+        report = pe_check_dt(Trajectory(TimeGrid(0.0, 1.0, n), vals, "dt"), K)
+        peak = float(np.max(np.sum(vals * vals, axis=1)))
+        np.testing.assert_allclose(
+            report.min_eigenvalues, self.brute_force_min_eigs(vals, K), rtol=0, atol=1e-12 * K * peak
+        )
 
     @given(horizon=st.integers(101, 3_000), max_window=st.integers(1, 100))
     @settings(max_examples=15, deadline=None)

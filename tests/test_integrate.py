@@ -115,12 +115,34 @@ class TestAffineScan:
         x = affine_scan(0.9, b, x0)
         assert_close(x, sequential_scan(np.full(b.shape, 0.9), b, x0, "component"))
 
-    def test_does_not_modify_its_inputs(self, rng):
-        a, b, x0 = random_maps(rng, "matrix", 21, 2)
-        a_copy, b_copy = a.copy(), b.copy()
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_does_not_modify_its_inputs(self, kind, n, rng):
+        # at n = 1 the matrix planes are contiguous views of the caller's
+        # arrays, which the scan's buffer swap would overwrite
+        a, b, x0 = random_maps(rng, kind, 21, n)
+        copies = [np.copy(v) for v in (a, b, x0)]
         affine_scan(a, b, x0)
-        np.testing.assert_array_equal(a, a_copy)
-        np.testing.assert_array_equal(b, b_copy)
+        for value, copy in zip((a, b, x0), copies):
+            np.testing.assert_array_equal(value, copy)
+
+    @given(
+        count=st.sampled_from([0, 1, 2, 3, 37, 100]),
+        n=st.integers(1, 4),
+        layout=st.sampled_from(["contiguous", "fortran", "sliced"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_maps_in_any_memory_layout(self, count, n, layout, seed):
+        # the planes are read from the caller's (N, n, n) and (N, n) arrays
+        # whatever their strides
+        a, b, x0 = random_maps(np.random.default_rng(seed), "matrix", count, n)
+        if layout == "fortran":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        elif layout == "sliced":
+            a, b = np.repeat(a, 2, axis=-1)[..., ::2], np.repeat(b, 2, axis=-1)[..., ::2]
+        x = affine_scan(a, b, x0)
+        assert_close(x, sequential_scan(a, b, x0, "matrix"))
+        np.testing.assert_array_equal(x[0], x0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_divergence_raises(self, kind):
