@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run ``dremkit reproduce`` for every preset into OUT/<figure id>, and the
-example configs (``simulate`` on examples/tracking-pe.json, ``check-pe
+example configs (``simulate`` on examples/tracking-pe.json and on
+examples/custom-n2.json, whose bank has a two-state channel, ``check-pe
 --out`` on examples/counterexample.json) into OUT/<file stem>, then print
 one ``sha256  relative/path`` line per file under OUT, sorted by path.
 
@@ -25,7 +26,11 @@ from dremkit import cli
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 # (command, example config) pairs; each writes into OUT/<config stem>
-EXAMPLE_RUNS = (("simulate", "tracking-pe.json"), ("check-pe", "counterexample.json"))
+EXAMPLE_RUNS = (
+    ("simulate", "tracking-pe.json"),
+    ("simulate", "custom-n2.json"),
+    ("check-pe", "counterexample.json"),
+)
 
 
 def digests(out: Path) -> list[str]:

@@ -218,11 +218,22 @@ def parse_bank(cfg: dict) -> OperatorBank:
     return OperatorBank(tuple(channels))
 
 
+def _check_steps(horizon: float, step: float, label: str) -> None:
+    """A grid whose number of steps, ``horizon / step``, overflows has no
+    sample count. ``label`` names the grid's section."""
+    if not np.isfinite(horizon / step):
+        raise _fail(
+            f"{label}.step",
+            f"{label}.horizon / {label}.step = {horizon!r} / {step!r} overflows the sample count",
+        )
+
+
 def parse_grid(cfg: dict) -> tuple[float, float]:
     readers = {"t0": _number, "step": _positive, "horizon": _nonnegative}
     grid = _given(_section(cfg, "grid"), "grid", readers, ("step", "horizon"))
     if grid.get("t0"):
         raise _fail("grid.t0", "studies start at t = 0; omit t0 or set it to 0.0")
+    _check_steps(grid["horizon"], grid["step"], "grid")
     return grid["horizon"], grid["step"]
 
 
@@ -479,6 +490,7 @@ def _parse_pe_check(cfg: dict) -> tuple[str, dict]:
     else:  # sinusoid-pair: (sin t, cos t) sampled so the window is a grid multiple
         given = _given(sig, "signal", readers)
         signal = {"horizon": 8.0 * np.pi, "step": 2 * np.pi / 6000, **given}
+    _check_steps(signal["horizon"], signal["step"], "signal")
     window = _number if domain == "ct" else _integer
     check = _given(cfg, "", {**_PE_FIELDS, "window": window}, ("window",))
     return "_pe_report", {"kind": kind, "domain": domain, **signal, **check}

@@ -15,13 +15,15 @@ Continuous-time channels integrate by fixed-step RK4 with the input and any
 time-varying coefficients held at the left grid point over each step
 (zero-order hold). Each step is an affine map of the state; the maps are
 built for the whole record at once and composed by a prefix scan
-(:mod:`dremkit.integrate`). A scalar-state channel and the single-filter
-path of :func:`kre_ct` go through the same elementwise maps, so the two
-agree bit for bit. Discrete-time channels compose their exact per-step maps
-``(A(k), b(k) u(k))`` with the same scan, so they match the sample-by-sample
-recursion up to rounding; the DT estimators of :mod:`dremkit.estimators`
-stay sequential. Signals are taken to vanish before time zero, so delayed
-taps read 0 until the delay window fills.
+(:mod:`dremkit.integrate`). A channel runs every input column in one scan,
+as state columns under the same maps, for every n; each column gets the
+bits a one-column run would. A scalar-state channel is a 1x1 matrix map,
+whose planar arithmetic is the elementwise arithmetic of the single-filter
+path of :func:`kre_ct`, so the two agree bit for bit. Discrete-time channels
+compose their exact per-step maps ``(A(k), b(k) u(k))`` with the same scan,
+so they match the sample-by-sample recursion up to rounding; ``drem_dt`` in
+:mod:`dremkit.estimators` stays sequential. Signals are taken to vanish
+before time zero, so delayed taps read 0 until the delay window fills.
 
 Coefficients are tabulated once per record. A callable coefficient that
 offers an ``evaluate`` method (the named signals of
@@ -90,26 +92,30 @@ class LtvChannelSpec:
             raise ValueError(f"a DT delay is a whole number of steps, got {self.delay}")
         if not np.isfinite(self.delay):
             raise ValueError(f"delay must be finite, got {self.delay}")
-        if self.n > 0:
-            for name in ("A", "b", "c"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"{name} is required for a channel with state")
-            if not callable(self.A):
-                A = np.asarray(self.A, dtype=float).reshape(self.n, self.n)
-                eig = np.linalg.eigvals(A)
-                if self.kind == "ct":
-                    if np.max(eig.real) >= 0:
-                        raise ValueError(
-                            f"constant A must be Hurwitz, eigenvalues {eig}"
-                        )
-                elif np.max(np.abs(eig)) >= 1:
-                    raise ValueError(
-                        f"constant A must be Schur stable, eigenvalues {eig}"
-                    )
-            x0 = np.zeros(self.n) if self.x0 is None else np.asarray(self.x0, float)
-            if x0.shape != (self.n,):
-                raise ValueError(f"x0 must have shape ({self.n},)")
-            object.__setattr__(self, "x0", x0.copy())
+        required = ("A", "b", "c") if self.n > 0 else ()
+        for name in required:
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is required for a channel with state")
+        sizes = {"d": 1, "delay_gain": 1, **dict(zip(required, (self.n**2, self.n, self.n)))}
+        for name, size in sizes.items():
+            value = getattr(self, name)
+            if not callable(value) and np.size(value) != size:
+                raise ValueError(
+                    f"constant {name} has size {np.size(value)}, expected {size} for n = {self.n}"
+                )
+        if self.n == 0:
+            return
+        if not callable(self.A):
+            eig = np.linalg.eigvals(np.asarray(self.A, dtype=float).reshape(self.n, self.n))
+            if self.kind == "ct":
+                if np.max(eig.real) >= 0:
+                    raise ValueError(f"constant A must be Hurwitz, eigenvalues {eig}")
+            elif np.max(np.abs(eig)) >= 1:
+                raise ValueError(f"constant A must be Schur stable, eigenvalues {eig}")
+        x0 = np.zeros(self.n) if self.x0 is None else np.asarray(self.x0, float)
+        if x0.shape != (self.n,):
+            raise ValueError(f"x0 must have shape ({self.n},)")
+        object.__setattr__(self, "x0", x0.copy())
 
     def has_zero_feedthrough(self) -> bool:
         return not callable(self.d) and float(np.asarray(self.d)) == 0.0
@@ -189,10 +195,9 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndar
     The coefficients are tabulated once for all columns. The state advances
     by one affine map per step, composed by :func:`affine_scan`: the
     held-coefficient RK4 map for a CT channel, the exact map
-    ``(A(k), b(k) u(k))`` for a DT one.
+    ``(A(k), b(k) u(k))`` for a DT one. The c columns are stacked as state
+    columns ``(n, c)`` under the same maps, so one scan serves them all.
     """
-    # each column contiguous in time, so the scan's passes run long inner loops
-    U = np.asfortranarray(U)
     if spec.kind == "ct":
         args, lag = grid.times(), _delay_steps(spec.delay, grid.step)
     else:
@@ -206,22 +211,16 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndar
     A = _coefficient_table(spec.A, args, (spec.n, spec.n))[:-1]
     b = _coefficient_table(spec.b, args, (spec.n,))[:-1]
     c = _coefficient_table(spec.c, args, (spec.n,))
-
-    def step_maps(A, force):
-        if spec.kind == "dt":
-            return A, force
-        return rk4_affine(A, A, A, force, force, force, grid.step)
-
-    if spec.n == 1:
-        # scalar state: one elementwise scan over every column, the same
-        # arithmetic as kre_ct; einsum sums c x from +0 like the per-column
-        # einsum below, so signed zeros come out the same for every n
-        X = affine_scan(*step_maps(A[:, 0], b * U[:-1]), spec.x0[0])
-        return Z + np.einsum("ki,kc->kc", c, X)
-    for j in range(U.shape[1]):
-        X = affine_scan(*step_maps(A, b * U[:-1, j, None]), spec.x0)
-        Z[:, j] += np.einsum("ki,ki->k", c, X)
-    return Z
+    # time-innermost tables, so the step-map products and the scan run long inner loops
+    A, b, U = (np.asfortranarray(v) for v in (A, b, U))
+    force = b[:, :, None] * U[:-1, None, :]
+    if spec.kind == "ct":
+        A, force = rk4_affine(A, A, A, force, force, force, grid.step)
+    X = affine_scan(A, force, spec.x0[:, None])
+    # summed over a contiguous (count, c, n) state, c x adds the same terms
+    # in the same order, from +0, as a single column's einsum("ki,ki->k"),
+    # so every column and signed zero matches a one-column run
+    return Z + np.einsum("ki,kci->kc", c, np.ascontiguousarray(X.transpose(0, 2, 1)))
 
 
 def _check_input(spec: LtvChannelSpec, u: Trajectory, kind: SignalKind) -> None:

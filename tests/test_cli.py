@@ -437,6 +437,14 @@ class TestSimulate:
             ("custom", "bank", {"channels": [{"n": 0, "d": np.nan}]}, "'bank.channels[0]': config field 'd'"),
             ("custom", "bank", {"channels": [{"n": 1, "A": -1.0, "b": 1.0, "c": [np.nan]}]},
              "'bank.channels[0]': config field 'c'"),
+            # a constant coefficient of the wrong size for the channel's n
+            ("custom", "bank", {"channels": [{"n": 1, "A": -1.0, "b": [1.0, 2.0], "c": 1.0}]},
+             "'bank.channels[0]': constant b has size 2"),
+            ("custom", "bank", {"channels": [{"n": 2, "A": [[-1.0, 0.0], [0.0, -2.0]], "b": [1.0, 1.0], "c": 1.0}]},
+             "'bank.channels[0]': constant c has size 1"),
+            ("custom", "bank", {"channels": [{"n": 0, "d": [1.0, 2.0]}]}, "'bank.channels[0]': constant d has size 2"),
+            ("custom", "bank", {"channels": [{"n": 0, "mu": [0.5, 0.5], "delay": 0.01}]},
+             "'bank.channels[0]': constant delay_gain has size 2"),
         ],
     )
     def test_rejected_section_or_value_exits_1(self, tmp_path, capsys, base, section, value, field):
@@ -495,6 +503,9 @@ class TestSimulate:
             ("simulate", edited(CUSTOM_CFG, plant={"b": 0.4, "input": 1.0}), "'plant.a': missing"),
             ("simulate", edited(CUSTOM_CFG, plant={"a": -0.4, "b": 0.4, "input": {"kind": "constant"}}),
              "'plant.input.level': missing"),
+            # a grid whose horizon / step overflows has no sample count
+            ("simulate", edited(CUSTOM_CFG, grid={"step": 1e-300, "horizon": 1e10}), "'grid.step'"),
+            ("simulate", edited(FTC_CFG, grid={"step": 1e-300, "horizon": 1e10}), "'grid.step'"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, command, cfg, field):
@@ -741,6 +752,9 @@ class TestCheckPe:
             ("signal.step", {"signal": {"kind": "sinusoid-pair", "step": -0.01}, "window": 2 * np.pi}),
             ("signal.horizon", {"signal": {"kind": "zero", "horizon": -5.0}, "window": 0.5}),
             ("signal.horizon", {"signal": {"kind": "sinusoid-pair", "horizon": -4.0}, "window": 2 * np.pi}),
+            ("signal.step", {"signal": {"kind": "zero", "step": 1e-300, "horizon": 1e10}, "window": 0.5}),
+            ("signal.step", {"signal": {"kind": "zero", "domain": "dt", "step": 1e-300, "horizon": 1e10},
+                             "window": 2}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):

@@ -1,12 +1,14 @@
 """The CT integrator: RK4 step maps composed by an affine prefix scan.
 
-Two kinds of reference run here, both sequential and tests-only:
+Three kinds of reference run here, all tests-only:
 
 * generic loops for the recursion x_{k+1} = a_k x_k + b_k and for the RK4
   stage sequence of x' = L x + f, compared with ``affine_scan`` and
   ``rk4_affine`` by property tests;
 * copies of the per-sample RK4 loops each converted site used to run,
-  compared with the site on seeded input.
+  compared with the site on seeded input;
+* a copy of the elementwise scan kernel and RK4 stage products that the
+  planar ones replaced, which elementwise maps must match bit for bit.
 
 The scan composes the steps in another order than the loop, so results agree
 to rounding, not bit for bit: the bound is 1e-12 relative to sup |x|.
@@ -39,7 +41,8 @@ from dremkit.scenarios import (
 from dremkit.signals import TimeGrid, Trajectory
 
 REL_TOL = 1e-12
-KINDS = ("scalar", "component", "matrix")
+# "columns" is a matrix map over c stacked state columns, b of shape (N, n, c)
+KINDS = ("scalar", "component", "matrix", "columns")
 # 0, 1 and 2 steps, powers of two and their neighbours, and arbitrary lengths
 LENGTHS = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 16, 33]), st.integers(0, 80))
 
@@ -52,7 +55,11 @@ def assert_close(actual, reference):
 
 
 def apply_map(a, x, kind):
-    return a @ x if kind == "matrix" else a * x
+    return a @ x if kind in ("matrix", "columns") else a * x
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 def sequential_scan(a, b, x0, kind):
@@ -88,9 +95,10 @@ def random_maps(rng, kind, count, n):
         b = rng.normal(size=(count, n))
         x0 = rng.uniform(0.5, 2.0, n)
     else:
+        columns = (3,) if kind == "columns" else ()
         a = rng.uniform(-1.0, 1.0, (count, n, n)) / n
-        b = rng.normal(size=(count, n))
-        x0 = rng.uniform(0.5, 2.0, n)
+        b = rng.normal(size=(count, n) + columns)
+        x0 = rng.uniform(0.5, 2.0, (n,) + columns)
     return a, b, x0
 
 
@@ -118,8 +126,9 @@ class TestAffineScan:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", KINDS)
     def test_does_not_modify_its_inputs(self, kind, n, rng):
-        # at n = 1 the matrix planes are contiguous views of the caller's
-        # arrays, which the scan's buffer swap would overwrite
+        # moved to time-last planes, a caller's array can already be
+        # contiguous (a matrix at n = 1, maps over one column), and the
+        # scan's buffer swap would overwrite it
         a, b, x0 = random_maps(rng, kind, 21, n)
         copies = [np.copy(v) for v in (a, b, x0)]
         affine_scan(a, b, x0)
@@ -144,6 +153,17 @@ class TestAffineScan:
         assert_close(x, sequential_scan(a, b, x0, "matrix"))
         np.testing.assert_array_equal(x[0], x0)
 
+    @given(count=LENGTHS, n=st.integers(1, 4), columns=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_columns_match_single_column_calls(self, count, n, columns, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (count, n, n)) / n
+        b = rng.normal(size=(count, n, columns))
+        x0 = rng.uniform(0.5, 2.0, (n, columns))
+        x = affine_scan(a, b, x0)
+        assert x.shape == (count + 1, n, columns)
+        for j in range(columns):
+            np.testing.assert_array_equal(bits(x[..., j]), bits(affine_scan(a, b[..., j], x0[:, j])))
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_divergence_raises(self, kind):
         a, b, x0 = random_maps(np.random.default_rng(2), kind, 900, 2)
@@ -161,13 +181,31 @@ class TestRk4Affine:
     )
     def test_scan_of_step_maps_matches_sequential_rk4(self, kind, count, n, h, seed):
         rng = np.random.default_rng(seed)
-        shape = {"scalar": (count,), "component": (count, n), "matrix": (count, n, n)}[kind]
-        fshape = (count,) if kind == "scalar" else (count, n)
+        shape = {"scalar": (count,), "component": (count, n)}.get(kind, (count, n, n))
+        fshape = {"scalar": (count,), "columns": (count, n, 3)}.get(kind, (count, n))
         L0, Lm, L1 = (rng.uniform(-3.0, 1.0, shape) for _ in range(3))
         f0, fm, f1 = (rng.normal(size=fshape) for _ in range(3))
         x0 = rng.uniform(0.5, 2.0, fshape[1:])
         x = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, h), x0)
         assert_close(x, sequential_rk4(L0, Lm, L1, f0, fm, f1, h, x0, kind))
+
+    @given(
+        count=LENGTHS,
+        n=st.integers(1, 4),
+        columns=st.integers(1, 5),
+        h=st.floats(1e-4, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_columns_match_single_column_calls(self, count, n, columns, h, seed):
+        rng = np.random.default_rng(seed)
+        L0, Lm, L1 = (rng.uniform(-3.0, 1.0, (count, n, n)) for _ in range(3))
+        f0, fm, f1 = (rng.normal(size=(count, n, columns)) for _ in range(3))
+        a, b = rk4_affine(L0, Lm, L1, f0, fm, f1, h)
+        assert a.shape == (count, n, n) and b.shape == (count, n, columns)
+        for j in range(columns):
+            a_j, b_j = rk4_affine(L0, Lm, L1, f0[..., j], fm[..., j], f1[..., j], h)
+            np.testing.assert_array_equal(bits(a), bits(a_j))
+            np.testing.assert_array_equal(bits(b[..., j]), bits(b_j))
 
     def test_held_scalar_step_is_the_rk4_polynomial(self):
         # with constant L the step map is the degree-4 Taylor polynomial of exp(hL)
@@ -176,6 +214,100 @@ class TestRk4Affine:
         z = h * L
         assert a == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
         np.testing.assert_array_equal(b, [0.0])
+
+
+# Copy of the elementwise scan kernel and RK4 stage products that the planar
+# ones replaced. Elementwise maps are the n = 1 planes, so the planar code
+# must give the same bits, signed zeros included.
+
+
+def old_elementwise_scan(a, b, x0):
+    b = np.array(b, dtype=float)
+    count = b.shape[0]
+    # a map shared by all components (a scalar) gets a time axis only
+    steps = (count,) + (1,) * (b.ndim - 1)
+    a = np.broadcast_to(a, np.broadcast_shapes(np.shape(a), steps))
+    a = np.array(a, dtype=float)
+    a_next, b_next = np.empty_like(a), np.empty_like(b)
+    x = np.empty((count + 1,) + b.shape[1:])
+    d = 1
+    while d < count:
+        a_next[:d], b_next[:d] = a[:d], b[:d]
+        np.multiply(a[d:], b[:-d], out=b_next[d:])
+        np.multiply(a[d:], a[:-d], out=a_next[d:])
+        b_next[d:] += b[d:]
+        a, a_next = a_next, a
+        b, b_next = b_next, b
+        d *= 2
+    x[0] = x0
+    x[1:] = a * x0 + b
+    return x
+
+
+def old_elementwise_rk4(L0, Lm, L1, f0, fm, f1, h):
+    hh = 0.5 * h
+    A1, B1 = L0, f0
+    A2 = Lm * (1.0 + hh * A1)
+    B2 = Lm * (hh * B1) + fm
+    A3 = Lm * (1.0 + hh * A2)
+    B3 = Lm * (hh * B2) + fm
+    A4 = L1 * (1.0 + h * A3)
+    B4 = L1 * (h * B3) + f1
+    a = 1.0 + (h / 6.0) * (A1 + 2.0 * A2 + 2.0 * A3 + A4)
+    b = (h / 6.0) * (B1 + 2.0 * B2 + 2.0 * B3 + B4)
+    return a, b
+
+
+def assert_same_bits(new, old):
+    assert np.shape(new) == np.shape(old)
+    np.testing.assert_array_equal(bits(np.atleast_1d(new)), bits(np.atleast_1d(np.asarray(old, float))))
+
+
+def with_signed_zeros(rng, values):
+    """``values`` with about a fifth of its entries set to +0.0 or -0.0."""
+    values = np.array(values, dtype=float)
+    zeros = rng.random(values.shape) < 0.2
+    values[zeros] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[zeros]
+    return values
+
+
+# elementwise map shapes: a shared scalar over (N, n) columns, one scalar
+# ODE, and one map per component
+ELEMENTWISE = ("shared", "scalar", "component")
+
+
+def elementwise_shapes(kind, count, n):
+    """(map shape, force or state-sequence shape) of an elementwise kind."""
+    return {"shared": ((), (count, n)), "scalar": ((count,), (count,))}.get(kind, ((count, n), (count, n)))
+
+
+class TestElementwiseMapsMatchTheReplacedKernel:
+    @given(kind=st.sampled_from(ELEMENTWISE), count=LENGTHS, n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_affine_scan(self, kind, count, n, seed):
+        rng = np.random.default_rng(seed)
+        a_shape, b_shape = elementwise_shapes(kind, count, n)
+        a = with_signed_zeros(rng, rng.uniform(-1.0, 1.0, a_shape))
+        b = with_signed_zeros(rng, rng.normal(size=b_shape))
+        x0 = with_signed_zeros(rng, rng.uniform(-2.0, 2.0, b_shape[1:]))
+        assert_same_bits(affine_scan(a, b, x0), old_elementwise_scan(a, b, x0))
+
+    @given(
+        kind=st.sampled_from(ELEMENTWISE),
+        count=LENGTHS,
+        n=st.integers(1, 4),
+        h=st.floats(1e-4, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rk4_affine(self, kind, count, n, h, seed):
+        rng = np.random.default_rng(seed)
+        L_shape, f_shape = elementwise_shapes(kind, count, n)
+        L = [with_signed_zeros(rng, rng.uniform(-3.0, 1.0, L_shape)) for _ in range(3)]
+        f = [with_signed_zeros(rng, rng.normal(size=f_shape)) for _ in range(3)]
+        new, old = rk4_affine(*L, *f, h), old_elementwise_rk4(*L, *f, h)
+        for value, reference in zip(new, old):
+            assert_same_bits(value, reference)
+        x0 = rng.uniform(0.5, 2.0, f_shape[1:])
+        assert_same_bits(affine_scan(*new, x0), old_elementwise_scan(*old, x0))
 
 
 # Copies of the per-sample RK4 loops the converted sites used to run.
