@@ -12,9 +12,6 @@ from .signals import (
     Trajectory,
     SchedulePiece,
     ThetaSchedule,
-    eval_lre,
-    pointwise_outer,
-    sample_function,
     sample_schedule,
 )
 from .operators import (
@@ -23,8 +20,6 @@ from .operators import (
     OperatorBank,
     SlidingWindowSpec,
     apply_channel_ct,
-    apply_channel_dt,
-    channel_gain_bound,
     extend,
     kre_as_drem_bank,
     kre_ct,
@@ -53,21 +48,17 @@ from .ftc import (
     FtcConfig,
     FtcRun,
     clip_w,
-    ftc_alert_estimate,
     ftc_estimate,
     interval_excitation_time,
-    interval_excitation_time_delayed,
     run_ftc,
     run_ftc_alert,
     update_w,
-    update_w_delayed,
 )
 from .excitation import (
     CounterexampleReport,
     PeReport,
     counterexample_suite,
     cumulative_energy,
-    energy_exceeds,
     pe_check_ct,
     pe_check_dt,
 )

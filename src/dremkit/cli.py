@@ -63,6 +63,9 @@ PRESETS = {
 }
 FIGURE_IDS = tuple(PRESETS)
 FLOAT_FMT = "%.17g"
+# the most samples a grid or a counterexample record may hold; a larger one is
+# refused while parsing, so it fails with its field named instead of in numpy
+MAX_SAMPLES = 10**8
 _CSV_BLOCK_ROWS = 128  # rows per `%` in write_csv; larger blocks cost memory and save no time
 
 
@@ -220,12 +223,14 @@ def parse_bank(cfg: dict) -> OperatorBank:
 
 def _check_steps(horizon: float, step: float, label: str) -> None:
     """A grid whose number of steps, ``horizon / step``, overflows has no
-    sample count. ``label`` names the grid's section."""
-    if not np.isfinite(horizon / step):
-        raise _fail(
-            f"{label}.step",
-            f"{label}.horizon / {label}.step = {horizon!r} / {step!r} overflows the sample count",
-        )
+    sample count, and one with more than ``MAX_SAMPLES`` samples is refused.
+    ``label`` names the grid's section."""
+    steps = horizon / step
+    ratio = f"{label}.horizon / {label}.step = {horizon!r} / {step!r}"
+    if not np.isfinite(steps):
+        raise _fail(f"{label}.step", f"{ratio} overflows the sample count")
+    if round(steps) + 1 > MAX_SAMPLES:  # the count TimeGrid.from_horizon takes
+        raise _fail(f"{label}.horizon", f"{ratio} gives more than {MAX_SAMPLES} samples")
 
 
 def parse_grid(cfg: dict) -> tuple[float, float]:
@@ -353,8 +358,7 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
     """Write one CSV per run of ``result`` and a ``summary.txt``.
 
     Columns are ``t``, ``theta_hat_1..m``, ``theta_tilde_1..m`` and the run's
-    excitation: ``phi_norm_sq`` for the identification study's vector
-    gradient run, ``delta`` for every other run. Recovery runs add ``w``,
+    excitation, under the run's ``diagnostics_name``. Recovery runs add ``w``,
     ``w_clipped`` and, when present, ``w_delayed``. ``t_range = (start,
     stop)`` keeps only the rows with start <= t <= stop.
     """
@@ -368,13 +372,11 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
         hat = run.theta_hat.values.reshape(len(times), -1)
         tilde = run.theta_tilde.values.reshape(len(times), -1)
         m = hat.shape[1]
-        # the tracking study's "gradient" run is the scalar estimator on Delta
-        vector_run = name == "gradient" and not result.ftc_runs
         columns = [
             "t",
             *(f"theta_hat_{i+1}" for i in range(m)),
             *(f"theta_tilde_{i+1}" for i in range(m)),
-            "phi_norm_sq" if vector_run else "delta",
+            run.diagnostics_name,
         ]
         arrays = [times, *hat.T, *tilde.T, run.diagnostics.values]
         ftc = result.ftc_runs.get(name)
@@ -479,6 +481,8 @@ def _parse_pe_check(cfg: dict) -> tuple[str, dict]:
     if kind == "counterexample":
         given = _given(cfg, "", {**_PE_FIELDS, "max_window": _integer})
         given.update(_given(sig, "signal", {"kind": None, "domain": None, "horizon": _integer}))
+        if given.get("horizon", 0) > MAX_SAMPLES:
+            raise _fail("signal.horizon", f"must be at most {MAX_SAMPLES}, got {sig['horizon']!r}")
         return "_counterexample_report", given
     readers = {"kind": None, "domain": None, "horizon": _nonnegative, "step": _positive}
     if kind == "zero":

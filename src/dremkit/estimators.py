@@ -75,11 +75,13 @@ class GradientConfig:
 @dataclass(frozen=True, eq=False)
 class EstimatorRun:
     """Estimate trajectory with optional error trajectory and the per-sample
-    excitation signal (Delta for mixed runs, |phi|^2 for vector runs)."""
+    excitation signal, named by ``diagnostics_name``: "delta" (Delta) for
+    mixed runs, "phi_norm_sq" (|phi|^2) for vector runs."""
 
     theta_hat: Trajectory
     theta_tilde: Trajectory | None
     diagnostics: Trajectory
+    diagnostics_name: str
 
 
 def _error_trajectory(theta_hat: Trajectory, theta_true) -> Trajectory | None:
@@ -142,7 +144,7 @@ def ct_gradient(
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, y.grid.step), cfg.initial(m))
     hat = Trajectory(y.grid, th, "ct")
     diag = Trajectory(y.grid, np.einsum("ki,ki->k", pv, pv), "ct")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
+    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag, "phi_norm_sq")
 
 
 def dt_gradient(
@@ -171,7 +173,7 @@ def dt_gradient(
     th = affine_scan(a, b, cfg.initial(m))
     hat = Trajectory(y.grid, th, "dt")
     diag = Trajectory(y.grid, pp, "dt")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag)
+    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag, "phi_norm_sq")
 
 
 def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> EstimatorRun:
@@ -198,7 +200,7 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
         (L0, f0), (Lm, fm), (L1, f1) = stage(D[:-1], Yc[:-1]), stage(Dm, Ym), stage(D[1:], Yc[1:])
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, grid.step), cfg.initial(m))
     hat = Trajectory(grid, th, "ct")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta)
+    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta, "delta")
 
 
 def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> EstimatorRun:
@@ -234,7 +236,7 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
                 lane.append(x)
             th[start:stop, i] = lane
     hat = Trajectory(grid, th, "dt")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta)
+    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta, "delta")
 
 
 def closed_form_error_ct(

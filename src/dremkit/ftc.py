@@ -153,47 +153,11 @@ def ftc_estimate(
     return _recover(theta_hat, w_clipped, every, theta_hat0)
 
 
-def update_w_delayed(delta: Trajectory, gamma: float, delay_window: float) -> Trajectory:
-    """Moving-window weight w_d = exp(-gamma * int_{t-T}^t Delta^2), with the
-    signal treated as zero before time zero."""
-    lag = window_steps(delay_window, delta.grid.step, "delay_window")
-    return _weight(delta, lagged_difference(_energy(delta, gamma), lag))
-
-
-def ftc_alert_estimate(
-    theta_hat: Trajectory,
-    w_delayed: Trajectory,
-    delay_window: float,
-    use_delayed_snapshot: bool = True,
-) -> Trajectory:
-    """Delayed-window recovery [theta_hat(t) - w_d theta_hat(t-T)] / (1 - w_d).
-
-    Exact for constant parameters over [t-T, t] when theta_hat follows its
-    envelope. Samples whose window carries essentially no excitation
-    (1 - w_d below ``MIN_WINDOW_DEFICIT``) pass the raw estimate through,
-    since the identity degenerates there. With ``use_delayed_snapshot=False``
-    the reference is theta_hat(0) instead of the delayed snapshot.
-    """
-    lag = window_steps(delay_window, w_delayed.grid.step, "delay_window")
-    usable = 1.0 - w_delayed.values > MIN_WINDOW_DEFICIT
-    return _recover(
-        theta_hat, w_delayed, usable, theta_hat.values[0], lag if use_delayed_snapshot else None
-    )
-
-
 def interval_excitation_time(
     delta: Trajectory, gamma: float, mu: float
 ) -> float | None:
     """First grid time where gamma * int_0^t Delta^2 >= -ln(mu), or None."""
     return _activation(delta, _energy(delta, gamma), mu)
-
-
-def interval_excitation_time_delayed(
-    delta: Trajectory, gamma: float, mu: float, delay_window: float
-) -> float | None:
-    """First grid time t >= T with gamma * int_{t-T}^t Delta^2 >= -ln(mu)."""
-    lag = window_steps(delay_window, delta.grid.step, "delay_window")
-    return _activation(delta, lagged_difference(_energy(delta, gamma), lag), mu, start=lag)
 
 
 def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:

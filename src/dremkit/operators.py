@@ -223,22 +223,12 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndar
     return Z + np.einsum("ki,kci->kc", c, np.ascontiguousarray(X.transpose(0, 2, 1)))
 
 
-def _check_input(spec: LtvChannelSpec, u: Trajectory, kind: SignalKind) -> None:
-    if spec.kind != kind:
-        raise ValueError(f"channel is not a {kind.upper()} channel")
-    if u.kind != kind or not u.is_scalar:
-        raise ValueError(f"input must be a scalar {kind.upper()} trajectory")
-
-
 def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
     """Run one channel over a sampled CT input, returning z on the same grid."""
-    _check_input(spec, u, "ct")
-    return u.with_values(_run_channel(spec, u.grid, u.values[:, None])[:, 0])
-
-
-def apply_channel_dt(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
-    """Run one channel over a sampled DT input, returning z on the same grid."""
-    _check_input(spec, u, "dt")
+    if spec.kind != "ct":
+        raise ValueError("channel is not a CT channel")
+    if u.kind != "ct" or not u.is_scalar:
+        raise ValueError("input must be a scalar CT trajectory")
     return u.with_values(_run_channel(spec, u.grid, u.values[:, None])[:, 0])
 
 
@@ -367,14 +357,3 @@ def kre_as_drem_bank(phi: Trajectory, pole: float) -> OperatorBank:
     )
     return OperatorBank(channels)
 
-
-def channel_gain_bound(spec: LtvChannelSpec, grid: TimeGrid) -> float:
-    """l1 norm of the channel's realized impulse response over the horizon.
-
-    A constant-coefficient channel acts on grid samples as a convolution with
-    this kernel, so the value bounds |z| for any input with |u| <= 1 run over
-    the same grid.
-    """
-    pulse = np.zeros((grid.count, 1))
-    pulse[0] = 1.0
-    return float(np.sum(np.abs(_run_channel(spec, grid, pulse))))

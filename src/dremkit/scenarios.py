@@ -293,6 +293,7 @@ def run_ftc_scenario(
             theta_hat=hat,
             theta_tilde=hat.with_values(hat.values - truth.values),
             diagnostics=delta,
+            diagnostics_name="delta",
         )
 
     result = ScenarioResult(

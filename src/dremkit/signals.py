@@ -146,32 +146,6 @@ def values_at(fn: Callable, args: np.ndarray) -> np.ndarray:
     return np.array([fn(a) for a in args], dtype=float)
 
 
-def sample_function(
-    grid: TimeGrid, fn: Callable[[float], float | np.ndarray], kind: SignalKind = "ct"
-) -> Trajectory:
-    """Sample ``fn`` at every grid time. ``fn`` may return scalars or arrays."""
-    return Trajectory(grid, values_at(fn, grid.times()), kind)
-
-
-def pointwise_outer(phi: Trajectory) -> Trajectory:
-    """Per-sample outer product, turning an m-vector signal into an m-by-m one."""
-    if not phi.is_vector:
-        raise ValueError("pointwise_outer expects a vector trajectory")
-    vals = np.einsum("ki,kj->kij", phi.values, phi.values)
-    return phi.with_values(vals)
-
-
-def eval_lre(theta: np.ndarray, phi: np.ndarray) -> float:
-    """Scalar regression output ``phi . theta`` for one sample."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.shape != phi.shape or theta.ndim != 1:
-        raise ValueError(
-            f"theta and phi must be vectors of equal length, got {theta.shape} and {phi.shape}"
-        )
-    return float(phi @ theta)
-
-
 @dataclass(frozen=True, eq=False)
 class SchedulePiece:
     """One segment of a piecewise parameter profile, active from ``start`` on.

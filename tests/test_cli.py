@@ -21,7 +21,7 @@ from dremkit.cli import (
     write_result,
 )
 from dremkit.estimators import GradientConfig, drem_ct
-from dremkit.ftc import ClipContractError, FtcConfig
+from dremkit.ftc import ClipContractError, FtcConfig, run_ftc
 from dremkit.mixing import MixedRegression
 from dremkit.scenarios import (
     PlantSpec,
@@ -80,6 +80,25 @@ def unread(field):
 def edited(base, **sections):
     """A deep copy of ``base`` with the given top-level fields replaced."""
     return {**json.loads(json.dumps(base)), **sections}
+
+
+@pytest.fixture
+def no_study_runs(monkeypatch):
+    """Replace every runner ``main`` can call with one that counts its calls
+    and fails, so a config it is given provably fails while parsing, before
+    any array is allocated."""
+    import dremkit.cli as cli
+
+    calls = []
+
+    def runner(**kwargs):
+        calls.append(kwargs)
+        raise AssertionError("a config that parsing should reject reached its runner")
+
+    for name in ("run_identification_scenario", "run_ftc_scenario", "_pe_report", "_counterexample_report"):
+        monkeypatch.setattr(cli, name, runner)
+    yield
+    assert not calls
 
 
 # Reference copies of the writers that write_csv and write_result replaced:
@@ -217,6 +236,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="drem_blind"):
             write_result(writer, result)
         assert not list((tmp_path / "o").iterdir())
+
+    def test_each_run_names_its_excitation_column(self, tmp_path):
+        # the column names come from the runs, not from the run names or
+        # from whether the result holds recovery runs
+        result = run_identification_scenario("rich", horizon=0.2, step=1e-3)
+        mixed = result.runs["drem_d0"]
+        result.ftc_runs["drem_d0"] = run_ftc(mixed.theta_hat, mixed.diagnostics, FtcConfig(gamma=1.0))
+        write_result(OutputWriter(tmp_path / "o"), result)
+        header, data = read_csv(tmp_path / "o" / "gradient.csv")
+        assert header[-1] == "phi_norm_sq"
+        np.testing.assert_array_equal(data[:, -1], result.runs["gradient"].diagnostics.values)
+        header, _ = read_csv(tmp_path / "o" / "drem_d0.csv")
+        assert header[-3:] == ["delta", "w", "w_clipped"]
 
 
 SPECIAL_DOUBLES = [
@@ -506,9 +538,19 @@ class TestSimulate:
             # a grid whose horizon / step overflows has no sample count
             ("simulate", edited(CUSTOM_CFG, grid={"step": 1e-300, "horizon": 1e10}), "'grid.step'"),
             ("simulate", edited(FTC_CFG, grid={"step": 1e-300, "horizon": 1e10}), "'grid.step'"),
+            # a grid of more than MAX_SAMPLES samples is refused before it is allocated
+            ("simulate", edited(FTC_CFG, grid={"step": 1.0, "horizon": 1e300}), "'grid.horizon'"),
+            ("simulate", edited(IDENTIFY_CFG, grid={"step": 1e-3, "horizon": 1e7}), "'grid.horizon'"),
+            ("simulate", edited(CUSTOM_CFG, grid={"step": 1.0, "horizon": 1e8}), "'grid.horizon'"),
+            ("check-pe", {"signal": {"kind": "zero", "step": 1.0, "horizon": 1e300}, "window": 2.0},
+             "'signal.horizon'"),
+            ("check-pe", {"signal": {"kind": "sinusoid-pair", "horizon": 1e10}, "window": 2 * np.pi},
+             "'signal.horizon'"),
+            ("check-pe", {"signal": {"kind": "counterexample", "horizon": 1e300}}, "'signal.horizon'"),
+            ("check-pe", {"signal": {"kind": "counterexample", "horizon": 10**8 + 1}}, "'signal.horizon'"),
         ],
     )
-    def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, command, cfg, field):
+    def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -757,7 +799,7 @@ class TestCheckPe:
                              "window": 2}),
         ],
     )
-    def test_non_numeric_field_exits_1(self, tmp_path, capsys, field, payload):
+    def test_non_numeric_field_exits_1(self, tmp_path, capsys, no_study_runs, field, payload):
         out = tmp_path / "o"
         assert main(["check-pe", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from dremkit.excitation import (
     _pe_scan_dt,
     counterexample_suite,
     cumulative_energy,
-    energy_exceeds,
     pe_check_ct,
     pe_check_dt,
 )
@@ -267,9 +266,12 @@ class TestCumulativeEnergy:
         grid = TimeGrid(0.0, 1.0, 10_000)
         k = np.arange(10_000)
         delta = Trajectory(grid, (k + 1.0) ** -0.5, "dt")
-        energy = cumulative_energy(delta)
-        assert energy_exceeds(energy, lambda t: 0.9 * np.log(t + 2.0))
-        assert not energy_exceeds(energy, lambda t: 0.1 * t)
+        energy = cumulative_energy(delta).values
+        # the harmonic sum dominates a log envelope over the second half of
+        # the record, and falls below a linear one there
+        late = k >= 5_000
+        assert np.all(energy[late] >= 0.9 * np.log(k[late] + 2.0))
+        assert not np.all(energy[late] >= 0.1 * k[late])
 
 
 class TestCounterexampleSuite:

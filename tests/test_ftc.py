@@ -7,14 +7,11 @@ from dremkit.ftc import (
     ClipContractError,
     FtcConfig,
     clip_w,
-    ftc_alert_estimate,
     ftc_estimate,
     interval_excitation_time,
-    interval_excitation_time_delayed,
     run_ftc,
     run_ftc_alert,
     update_w,
-    update_w_delayed,
 )
 from dremkit.mixing import MixedRegression
 from dremkit.quadrature import cumulative_simpson, lagged_difference
@@ -36,6 +33,14 @@ def envelope_estimate(delta, gamma, theta, theta_hat0):
     """Estimate following its exact error envelope (shared quadrature)."""
     env = closed_form_error_ct(delta, gamma, theta_hat0 - theta)
     return ct_scalar(theta + env.values, step=delta.grid.step)
+
+
+def alert_run(delta, gamma, delay_window=0.2, theta_hat=None, **settings):
+    """``run_ftc_alert`` on ``delta``, recovering ``theta_hat`` (zero if None)."""
+    if theta_hat is None:
+        theta_hat = delta.with_values(np.zeros(delta.grid.count))
+    cfg = FtcConfig(gamma=gamma, delay_window=delay_window, **settings)
+    return run_ftc_alert(theta_hat, delta, cfg)
 
 
 class TestUpdateW:
@@ -126,26 +131,33 @@ class TestFtcEstimate:
 
 
 class TestUpdateWDelayed:
+    """The moving-window weight w_d = exp(-gamma * int_{t-T}^t Delta^2) that
+    ``run_ftc_alert`` returns as ``w_delayed``."""
+
     def test_zero_delta(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
-        wd = update_w_delayed(Trajectory(grid, np.zeros(grid.count), "ct"), 1.0, 0.2)
-        np.testing.assert_array_equal(wd.values, np.ones(grid.count))
+        run = alert_run(Trajectory(grid, np.zeros(grid.count), "ct"), 1.0)
+        np.testing.assert_array_equal(run.w_delayed.values, np.ones(grid.count))
+        assert run.t_c is None and not run.active.any()
 
     def test_constant_delta_saturates(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
         t = grid.times()
         c, gamma, TD = 1.5, 0.8, 0.2
-        wd = update_w_delayed(Trajectory(grid, np.full(grid.count, c), "ct"), gamma, TD)
+        run = alert_run(Trajectory(grid, np.full(grid.count, c), "ct"), gamma, TD)
+        wd = run.w_delayed
         early = t <= TD + 1e-12
         np.testing.assert_allclose(wd.values[early], np.exp(-gamma * c * c * t[early]), rtol=1e-9)
         late = t >= TD
         np.testing.assert_allclose(
             wd.values[late], np.full(late.sum(), np.exp(-gamma * c * c * TD)), rtol=1e-9
         )
+        # gamma c^2 TD = 0.36 > -ln(0.98): the full window activates at T
+        assert run.t_c == pytest.approx(TD, abs=1e-12)
 
     def test_periodic_for_periodic_delta(self):
         delta = sine_delta(3.0)
-        wd = update_w_delayed(delta, 2.0, 0.2)
+        wd = alert_run(delta, 2.0, 0.2).w_delayed
         t = delta.times()
         k_period = 500  # sin(2 pi t)^2 has period 1/2
         sel = t >= 0.2
@@ -155,11 +167,9 @@ class TestUpdateWDelayed:
 
     def test_moving_window_quadrature_oracle(self):
         # independent oracle: windowed Simpson integral per sample
-        from dremkit.quadrature import cumulative_simpson
-
         delta = sine_delta(1.0)
         gamma, TD = 2.0, 0.2
-        wd = update_w_delayed(delta, gamma, TD)
+        wd = alert_run(delta, gamma, TD).w_delayed
         energy = cumulative_simpson(delta.values**2, delta.grid.step)
         lag = 200
         expected = np.exp(-gamma * (energy - np.concatenate([np.zeros(lag), energy[:-lag]])))
@@ -169,7 +179,7 @@ class TestUpdateWDelayed:
         delta = sine_delta(2.0)
         gamma, TD = 2.0, 0.2
         w = update_w(delta, gamma)
-        wd = update_w_delayed(delta, gamma, TD)
+        wd = alert_run(delta, gamma, TD).w_delayed
         lag = 200
         quotient = w.values[lag:] / w.values[:-lag]
         assert np.abs(wd.values[lag:] - quotient).max() <= 1e-9
@@ -177,40 +187,46 @@ class TestUpdateWDelayed:
     def test_off_grid_window_rejected(self):
         delta = sine_delta(1.0)
         with pytest.raises(ValueError):
-            update_w_delayed(delta, 1.0, 0.00015)
+            alert_run(delta, 1.0, 0.00015)
 
 
 class TestAlertEstimate:
+    """The delayed-window recovery [theta_hat(t) - w_d theta_hat(t-T)] / (1 - w_d)
+    that ``run_ftc_alert`` returns as ``theta_ftc``."""
+
     def test_zero_weight_returns_estimate(self, rng):
+        # exp(-1e4 * 0.2) underflows, so every full window weighs exactly 0
         grid = TimeGrid.from_horizon(1.0, 1e-3)
         hat = Trajectory(grid, rng.normal(size=grid.count), "ct")
-        wd = Trajectory(grid, np.zeros(grid.count), "ct")
-        out = ftc_alert_estimate(hat, wd, 0.2)
-        np.testing.assert_array_equal(out.values, hat.values)
+        run = alert_run(Trajectory(grid, np.ones(grid.count), "ct"), 1e4, 0.2, hat)
+        full = grid.times() >= 0.2
+        assert np.all(run.w_delayed.values[full] == 0.0) and run.active[full].all()
+        np.testing.assert_array_equal(run.theta_ftc.values, hat.values)
 
     def test_exact_recovery_constant_theta(self):
         grid = TimeGrid.from_horizon(2.0, 1e-3)
         delta = Trajectory(grid, np.ones(grid.count), "ct")
         gamma, TD, theta = 2.0, 0.2, 7.0
         hat = envelope_estimate(delta, gamma, theta=theta, theta_hat0=0.0)
-        wd = update_w_delayed(delta, gamma, TD)
-        out = ftc_alert_estimate(hat, wd, TD)
+        run = alert_run(delta, gamma, TD, hat)
         t = grid.times()
         usable = t >= TD
-        assert np.abs(out.values[usable] - theta).max() <= 1e-9 * theta
+        assert run.active[usable].all()
+        assert np.abs(run.theta_ftc.values[usable] - theta).max() <= 1e-9 * theta
 
     def test_snapshot_flag_switches_reference(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
         delta = Trajectory(grid, np.ones(grid.count), "ct")
         hat = envelope_estimate(delta, 2.0, theta=7.0, theta_hat0=0.0)
-        wd = update_w_delayed(delta, 2.0, 0.2)
-        snap0 = ftc_alert_estimate(hat, wd, 0.2, use_delayed_snapshot=False)
+        run = alert_run(delta, 2.0, 0.2, hat, use_delayed_snapshot=False)
+        wd = run.w_delayed.values
         # referencing theta_hat(0) = 0 turns the identity into hat / (1 - wd)
-        # wherever the window carries excitation
-        usable = 1.0 - wd.values > 1e-9
+        # wherever the window carries excitation, from the activation on
+        usable = 1.0 - wd > 1e-9
+        np.testing.assert_array_equal(run.active, usable & (grid.times() >= run.t_c))
         expected = hat.values.copy()
-        expected[usable] = hat.values[usable] / (1.0 - wd.values[usable])
-        np.testing.assert_allclose(snap0.values, expected, rtol=1e-12)
+        expected[run.active] = hat.values[run.active] / (1.0 - wd[run.active])
+        np.testing.assert_allclose(run.theta_ftc.values, expected, rtol=1e-12)
 
 
 class TestIntervalExcitation:
@@ -248,23 +264,19 @@ class TestIntervalExcitation:
 
     def test_delayed_zero_never(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
-        assert (
-            interval_excitation_time_delayed(
-                Trajectory(grid, np.zeros(grid.count), "ct"), 1.0, 0.5, 0.2
-            )
-            is None
-        )
+        delta = Trajectory(grid, np.zeros(grid.count), "ct")
+        assert alert_run(delta, 1.0, 0.2, clip_threshold=0.5).t_c is None
 
     def test_delayed_constant_saturates_at_window(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
         delta = Trajectory(grid, np.full(grid.count, 2.0), "ct")
         # gamma c^2 TD = 0.8 * 4 * 0.2 > -ln(0.98): triggers right at the window
-        tc = interval_excitation_time_delayed(delta, 0.8, 0.98, 0.2)
+        tc = alert_run(delta, 0.8, 0.2, clip_threshold=0.98).t_c
         assert tc == pytest.approx(0.2, abs=1e-12)
 
     def test_delayed_sine_finite(self):
         delta = sine_delta(1.0)
-        tc = interval_excitation_time_delayed(delta, 2.0, 0.98, 0.2)
+        tc = alert_run(delta, 2.0, 0.2, clip_threshold=0.98).t_c
         assert tc is not None and tc <= 0.5
 
 
@@ -369,14 +381,15 @@ def test_vector_estimates_equal_per_column_calls(rng, snapshot):
     hat = Trajectory(grid, rng.normal(size=(grid.count, 3)), "ct")
     theta_hat0 = rng.normal(size=3)
     wc = clip_w(update_w(delta, 2.0), 0.98)
-    wd = update_w_delayed(delta, 2.0, 0.2)
-    assert np.any(1.0 - wd.values <= MIN_WINDOW_DEFICIT)
+    alert = alert_run(delta, 2.0, 0.2, hat, use_delayed_snapshot=snapshot)
+    assert np.any(1.0 - alert.w_delayed.values <= MIN_WINDOW_DEFICIT)
     plain = ftc_estimate(hat, wc, theta_hat0).values
-    alert = ftc_alert_estimate(hat, wd, 0.2, snapshot).values
     for i in range(3):
         column = Trajectory(grid, hat.values[:, i].copy(), "ct")
         assert same_bits(plain[:, i], ftc_estimate(column, wc, theta_hat0[i : i + 1]).values)
-        assert same_bits(alert[:, i], ftc_alert_estimate(column, wd, 0.2, snapshot).values)
+        column_run = alert_run(delta, 2.0, 0.2, column, use_delayed_snapshot=snapshot)
+        assert same_bits(alert.theta_ftc.values[:, i], column_run.theta_ftc.values)
+        assert same_bits(alert.active, column_run.active)
 
 
 # Reference copies of the recovery pipelines as they were when each one
@@ -405,8 +418,8 @@ def old_run_ftc(theta_hat, delta, cfg):
 
 
 def old_alert_recovery(theta_hat, wd, t_c, cfg):
-    """Copy of the recovery body run_ftc_alert had before it called
-    ftc_alert_estimate: (theta_ftc, active)."""
+    """Copy of the recovery body run_ftc_alert had before the two pipelines
+    shared one recovery routine: (theta_ftc, active)."""
     hat = theta_hat.values
     active = np.zeros(theta_hat.grid.count, dtype=bool)
     out = hat.copy()

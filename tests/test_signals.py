@@ -8,10 +8,8 @@ from dremkit.signals import (
     ThetaSchedule,
     TimeGrid,
     Trajectory,
-    eval_lre,
-    pointwise_outer,
-    sample_function,
     sample_schedule,
+    values_at,
 )
 
 
@@ -76,30 +74,13 @@ class TestTrajectory:
         grid = TimeGrid(0.0, 0.25, 9)
         f1 = lambda t: np.sin(t)
         f2 = lambda t: t * t
-        x = sample_function(grid, f1)
-        y = sample_function(grid, f2)
-        combined = sample_function(grid, lambda t: a * f1(t) + b * f2(t))
-        direct = a * x + b * y
+
+        def sampled(f):
+            return Trajectory(grid, values_at(f, grid.times()))
+
+        combined = sampled(lambda t: a * f1(t) + b * f2(t))
+        direct = a * sampled(f1) + b * sampled(f2)
         np.testing.assert_array_equal(combined.values, direct.values)
-
-    def test_pointwise_outer(self, rng):
-        grid = TimeGrid(0.0, 0.1, 5)
-        phi = Trajectory(grid, rng.normal(size=(5, 3)))
-        out = pointwise_outer(phi)
-        for k in range(5):
-            np.testing.assert_array_equal(out.values[k], np.outer(phi.values[k], phi.values[k]))
-
-
-class TestEvalLre:
-    def test_zero_parameter(self):
-        assert eval_lre(np.array([0.0, 0.0]), np.array([5.0, 7.0])) == 0.0
-
-    def test_direct_dot_product(self):
-        assert eval_lre(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_lre(np.array([1.0, 2.0]), np.array([3.0]))
 
 
 class TestSchedule:
