@@ -47,6 +47,7 @@ from .scenarios import (
     ScenarioResult,
     Sinusoid,
     TRACKING_FTC,
+    convergence_time,
     run_ftc_scenario,
     run_identification_scenario,
 )
@@ -358,12 +359,12 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
     """Write one CSV per run of ``result`` and a ``summary.txt``.
 
     Columns are ``t``, ``theta_hat_1..m``, ``theta_tilde_1..m`` and the run's
-    excitation, under the run's ``diagnostics_name``. Recovery runs add ``w``,
-    ``w_clipped`` and, when present, ``w_delayed``. ``t_range = (start,
-    stop)`` keeps only the rows with start <= t <= stop.
+    excitation, under the run's ``diagnostics_name``. A run's ``recovery``
+    adds its ``w``, ``w_clipped`` and, when present, ``w_delayed``. ``t_range
+    = (start, stop)`` keeps only the rows with start <= t <= stop.
     """
     for name, run in result.runs.items():
-        if run.theta_tilde is None or name not in result.final_errors:
+        if run.theta_tilde is None:
             raise ValueError(f"run {name!r} has no truth, so its errors cannot be written")
     times = result.grid.times()
     rows = slice(None) if t_range is None else (times >= t_range[0]) & (times <= t_range[1])
@@ -379,8 +380,7 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
             run.diagnostics_name,
         ]
         arrays = [times, *hat.T, *tilde.T, run.diagnostics.values]
-        ftc = result.ftc_runs.get(name)
-        if ftc is not None:
+        if (ftc := run.recovery) is not None:
             columns += ["w", "w_clipped"]
             arrays += [ftc.w.values, ftc.w_clipped.values]
             if ftc.w_delayed is not None:
@@ -388,8 +388,8 @@ def write_result(writer: OutputWriter, result: ScenarioResult, t_range=None) -> 
                 arrays.append(ftc.w_delayed.values)
         writer.csv(f"{name}.csv", columns, [a[rows] for a in arrays])
 
-        tc = result.convergence_times.get(name)
-        errs = " ".join(FLOAT_FMT % e for e in np.atleast_1d(result.final_errors.get(name)))
+        tc = convergence_time(run.theta_tilde)
+        errs = " ".join(FLOAT_FMT % e for e in np.abs(tilde[-1]))
         summary.append(f"{name}, {'none' if tc is None else FLOAT_FMT % tc}, {errs}")
     writer.text("summary.txt", "\n".join(summary) + "\n")
 
@@ -400,20 +400,13 @@ _TOP_FIELDS = {"mode": None, "grid": None, "out_dir": None}
 _SECTIONS = dict.fromkeys(("plant", "regressor", "bank", "estimator"))
 _STUDY_FIELDS = {
     "identify": {**_TOP_FIELDS, "input_kind": _as_is, **_SECTIONS},
-    "custom": {**_TOP_FIELDS, "input_kind": _as_is, **_SECTIONS},
+    "custom": {**_TOP_FIELDS, **_SECTIONS},
     "ftc": {**_TOP_FIELDS, "delta_kind": _as_is, "ftc": None},
 }
 
 
-def _boolean(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise _fail(field, f"expected true or false, got {value!r}")
-    return value
-
-
 _FTC_FIELDS = {
-    "gamma": _positive, "clip_threshold": _number, "delay_window": _number,
-    "theta_hat0": _number, "use_delayed_snapshot": _boolean,
+    "gamma": _positive, "clip_threshold": _number, "delay_window": _number, "theta_hat0": _number,
 }
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ftc import FtcRun
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_energy
@@ -74,14 +75,15 @@ class GradientConfig:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorRun:
-    """Estimate trajectory with optional error trajectory and the per-sample
-    excitation signal, named by ``diagnostics_name``: "delta" (Delta) for
-    mixed runs, "phi_norm_sq" (|phi|^2) for vector runs."""
+    """Estimate, optional error and per-sample excitation, the latter named by
+    ``diagnostics_name``: "delta" (Delta) for mixed runs, "phi_norm_sq" (|phi|^2)
+    for vector runs. ``recovery`` is the finite-time recovery that made it, if any."""
 
     theta_hat: Trajectory
     theta_tilde: Trajectory | None
     diagnostics: Trajectory
     diagnostics_name: str
+    recovery: FtcRun | None = None
 
 
 def _error_trajectory(theta_hat: Trajectory, theta_true) -> Trajectory | None:

@@ -50,15 +50,11 @@ class FtcConfig:
     ``gamma`` must equal the gain of the underlying scalar estimator, since
     the weight reconstructs that estimator's own decay. ``delay_window`` (in
     seconds, a positive grid multiple) only matters for the alert variant.
-    ``use_delayed_snapshot=False`` switches the alert formula to reference
-    theta_hat(0) instead of theta_hat(t - T); that form only recovers
-    parameters that never changed.
     """
 
     gamma: float
     clip_threshold: float = 0.98
     delay_window: float = 0.2
-    use_delayed_snapshot: bool = True
 
     def __post_init__(self) -> None:
         require_positive(self.gamma, "gamma")
@@ -127,8 +123,9 @@ def _recover(
 
 
 def update_w(delta: Trajectory, gamma: float) -> Trajectory:
-    """Full-history weight w = exp(-gamma * int_0^t Delta^2); non-increasing,
-    in (0, 1]."""
+    """Full-history weight w = exp(-gamma * int_0^t Delta^2), in (0, 1]; it can
+    rise on a rough Delta, where Simpson's odd-index trapezoid outweighs the
+    next pair (Delta = [3, 0, 0, 0, 0], h = 0.1, gamma = 1: w = 1, 0.638, 0.741)."""
     return _weight(delta, _energy(delta, gamma))
 
 
@@ -163,9 +160,9 @@ def interval_excitation_time(
 def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:
     """Full-history recovery pipeline.
 
-    Samples before the activation time output the raw estimate and are
-    flagged inactive; after activation the clipped weight equals the true
-    weight and the recovery formula applies.
+    A sample is active where w < mu: there the clipped weight equals the true
+    weight and the recovery formula applies, elsewhere the raw estimate is
+    output. w can rise (see ``update_w``), so a sample after t_c may be inactive.
     """
     energy = _energy(delta, cfg.gamma)
     w = _weight(delta, energy)
@@ -199,9 +196,8 @@ def run_ftc_alert(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> F
     if t_c is not None:
         start = theta_hat.grid.index_of(t_c)
         active[start:] = 1.0 - wd.values[start:] > MIN_WINDOW_DEFICIT
-    snapshot_lag = lag if cfg.use_delayed_snapshot else None
     return FtcRun(
-        theta_ftc=_recover(theta_hat, wd, active, theta_hat.values[0], snapshot_lag),
+        theta_ftc=_recover(theta_hat, wd, active, theta_hat.values[0], lag),
         w=_weight(delta, energy),
         w_clipped=clip_w(wd, cfg.clip_threshold),
         w_delayed=wd,

@@ -22,7 +22,7 @@ draws all of its excitation from the startup transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,23 +180,26 @@ def convergence_time(
     return float(theta_tilde.times()[int(np.argmax(ok))])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
+    """The runs of one study by name, with its grid and true parameter trajectory."""
+
     grid: TimeGrid
     theta_true: Trajectory
     runs: dict[str, EstimatorRun]
-    ftc_runs: dict[str, FtcRun] = field(default_factory=dict)
-    convergence_times: dict[str, float | None] = field(default_factory=dict)
-    final_errors: dict[str, np.ndarray] = field(default_factory=dict)
 
+    @property
+    def ftc_runs(self) -> dict[str, FtcRun]:
+        """The recovery of every run that has one, by run name."""
+        return {name: run.recovery for name, run in self.runs.items() if run.recovery is not None}
 
-def _finish(result: ScenarioResult) -> ScenarioResult:
-    for name, run in result.runs.items():
-        if run.theta_tilde is None:
-            continue
-        result.convergence_times[name] = convergence_time(run.theta_tilde)
-        result.final_errors[name] = np.abs(np.atleast_1d(run.theta_tilde.values[-1]))
-    return result
+    @property
+    def final_errors(self) -> dict[str, np.ndarray]:
+        """|theta_tilde| at the last sample of every run with a truth, by run name."""
+        return {
+            name: np.abs(np.atleast_1d(run.theta_tilde.values[-1]))
+            for name, run in self.runs.items() if run.theta_tilde is not None
+        }
 
 
 def run_identification_scenario(
@@ -242,12 +245,11 @@ def run_identification_scenario(
     YN, PhiN = extend_with_feedforward(bank, y, phi)
     drem_boost = drem_ct(mix(YN, PhiN), cfg, theta_true=theta_true)
 
-    result = ScenarioResult(
+    return ScenarioResult(
         grid=grid,
         theta_true=truth,
         runs={"gradient": gradient, "drem_d0": drem_plain, "drem_dN": drem_boost},
     )
-    return _finish(result)
 
 
 def run_ftc_scenario(
@@ -283,23 +285,18 @@ def run_ftc_scenario(
     cfg = GradientConfig(gamma=ftc.gamma, theta_hat0=np.array([theta_hat0]))
     gradient = drem_ct(mixed, cfg, theta_true=truth)
 
+    # theta_ftc stays 1-D, so it meets a 1-D array without broadcasting to N x N
     hat_scalar = Trajectory(grid, gradient.theta_hat.values[:, 0], "ct")
     plain = run_ftc(hat_scalar, delta, ftc)
     alert = run_ftc_alert(hat_scalar, delta, ftc)
 
     def as_run(recovery: FtcRun) -> EstimatorRun:
         hat = Trajectory(grid, recovery.theta_ftc.values[:, None], "ct")
-        return EstimatorRun(
-            theta_hat=hat,
-            theta_tilde=hat.with_values(hat.values - truth.values),
-            diagnostics=delta,
-            diagnostics_name="delta",
-        )
+        tilde = hat.with_values(hat.values - truth.values)
+        return EstimatorRun(hat, tilde, delta, "delta", recovery)
 
-    result = ScenarioResult(
+    return ScenarioResult(
         grid=grid,
         theta_true=truth,
         runs={"gradient": gradient, "ftc": as_run(plain), "ftc_d": as_run(alert)},
-        ftc_runs={"ftc": plain, "ftc_d": alert},
     )
-    return _finish(result)

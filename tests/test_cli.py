@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -28,6 +29,7 @@ from dremkit.scenarios import (
     RegressorSpec,
     ScenarioResult,
     Sinusoid,
+    convergence_time,
     run_ftc_scenario,
     run_identification_scenario,
 )
@@ -172,8 +174,8 @@ def reference_ftc_csvs(writer, result, t_range=None):
 
 def reference_summary_text(result):
     lines = ["run, convergence_time_s, final_abs_errors"]
-    for name in result.runs:
-        tc = result.convergence_times.get(name)
+    for name, run in result.runs.items():
+        tc = convergence_time(run.theta_tilde)
         errs = result.final_errors.get(name)
         err_txt = " ".join(FLOAT_FMT % e for e in np.atleast_1d(errs))
         lines.append(f"{name}, {'none' if tc is None else FLOAT_FMT % tc}, {err_txt}")
@@ -242,7 +244,10 @@ class TestCsvRoundTrip:
         # from whether the result holds recovery runs
         result = run_identification_scenario("rich", horizon=0.2, step=1e-3)
         mixed = result.runs["drem_d0"]
-        result.ftc_runs["drem_d0"] = run_ftc(mixed.theta_hat, mixed.diagnostics, FtcConfig(gamma=1.0))
+        recovery = run_ftc(mixed.theta_hat, mixed.diagnostics, FtcConfig(gamma=1.0))
+        runs = {**result.runs, "drem_d0": dataclasses.replace(mixed, recovery=recovery)}
+        result = dataclasses.replace(result, runs=runs)
+        assert result.ftc_runs == {"drem_d0": recovery}
         write_result(OutputWriter(tmp_path / "o"), result)
         header, data = read_csv(tmp_path / "o" / "gradient.csv")
         assert header[-1] == "phi_norm_sq"
@@ -548,6 +553,13 @@ class TestSimulate:
              "'signal.horizon'"),
             ("check-pe", {"signal": {"kind": "counterexample", "horizon": 1e300}}, "'signal.horizon'"),
             ("check-pe", {"signal": {"kind": "counterexample", "horizon": 10**8 + 1}}, "'signal.horizon'"),
+            # the retired theta_hat(0)-snapshot switch is read by no study
+            ("simulate", edited(FTC_CFG, ftc=dict(FTC_CFG["ftc"], use_delayed_snapshot=True)),
+             unread("'ftc.use_delayed_snapshot'")),
+            # custom takes its input from "plant", so it reads no input_kind
+            ("simulate", edited(CUSTOM_CFG, input_kind="rich"),
+             "'input_kind': unknown field; accepted: mode, grid, out_dir, plant, regressor, bank,"
+             " estimator"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):
@@ -560,11 +572,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag", ["false", 0, None])
     def test_non_boolean_use_delayed_snapshot_exits_1(self, tmp_path, capsys, flag):
+        # the switch is gone, so any value of it, boolean or not, is an unread field
         cfg = json.loads(json.dumps(FTC_CFG))
         cfg["ftc"]["use_delayed_snapshot"] = flag
         out = tmp_path / "o"
         assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-        assert "ftc.use_delayed_snapshot" in capsys.readouterr().err
+        assert unread("'ftc.use_delayed_snapshot'") in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -703,8 +716,7 @@ class TestReproduce:
             )
             reference_estimator_csvs(ref, result)
         else:
-            ftc = {"gamma": 3.0, "clip_threshold": 0.95, "delay_window": 0.3,
-                   "theta_hat0": 0.5, "use_delayed_snapshot": False}
+            ftc = {"gamma": 3.0, "clip_threshold": 0.95, "delay_window": 0.3, "theta_hat0": 0.5}
             cfg = dict(FTC_CFG, delta_kind="nonpe", grid={"step": 1e-3, "horizon": horizon}, ftc=ftc)
             assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
             settings = FtcConfig(**{k: v for k, v in ftc.items() if k != "theta_hat0"})

@@ -214,20 +214,6 @@ class TestAlertEstimate:
         assert run.active[usable].all()
         assert np.abs(run.theta_ftc.values[usable] - theta).max() <= 1e-9 * theta
 
-    def test_snapshot_flag_switches_reference(self):
-        grid = TimeGrid.from_horizon(1.0, 1e-3)
-        delta = Trajectory(grid, np.ones(grid.count), "ct")
-        hat = envelope_estimate(delta, 2.0, theta=7.0, theta_hat0=0.0)
-        run = alert_run(delta, 2.0, 0.2, hat, use_delayed_snapshot=False)
-        wd = run.w_delayed.values
-        # referencing theta_hat(0) = 0 turns the identity into hat / (1 - wd)
-        # wherever the window carries excitation, from the activation on
-        usable = 1.0 - wd > 1e-9
-        np.testing.assert_array_equal(run.active, usable & (grid.times() >= run.t_c))
-        expected = hat.values.copy()
-        expected[run.active] = hat.values[run.active] / (1.0 - wd[run.active])
-        np.testing.assert_allclose(run.theta_ftc.values, expected, rtol=1e-12)
-
 
 class TestIntervalExcitation:
     def test_zero_delta_never(self):
@@ -372,8 +358,7 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("snapshot", [True, False])
-def test_vector_estimates_equal_per_column_calls(rng, snapshot):
+def test_vector_estimates_equal_per_column_calls(rng):
     # Delta switches off at t = 1, so the late windows are unusable samples
     grid = TimeGrid.from_horizon(2.0, 1e-3)
     t = grid.times()
@@ -381,13 +366,13 @@ def test_vector_estimates_equal_per_column_calls(rng, snapshot):
     hat = Trajectory(grid, rng.normal(size=(grid.count, 3)), "ct")
     theta_hat0 = rng.normal(size=3)
     wc = clip_w(update_w(delta, 2.0), 0.98)
-    alert = alert_run(delta, 2.0, 0.2, hat, use_delayed_snapshot=snapshot)
+    alert = alert_run(delta, 2.0, 0.2, hat)
     assert np.any(1.0 - alert.w_delayed.values <= MIN_WINDOW_DEFICIT)
     plain = ftc_estimate(hat, wc, theta_hat0).values
     for i in range(3):
         column = Trajectory(grid, hat.values[:, i].copy(), "ct")
         assert same_bits(plain[:, i], ftc_estimate(column, wc, theta_hat0[i : i + 1]).values)
-        column_run = alert_run(delta, 2.0, 0.2, column, use_delayed_snapshot=snapshot)
+        column_run = alert_run(delta, 2.0, 0.2, column)
         assert same_bits(alert.theta_ftc.values[:, i], column_run.theta_ftc.values)
         assert same_bits(alert.active, column_run.active)
 
@@ -428,12 +413,9 @@ def old_alert_recovery(theta_hat, wd, t_c, cfg):
         usable = 1.0 - wd > MIN_WINDOW_DEFICIT
         active[start:] = usable[start:]
         lag = int(round(cfg.delay_window / theta_hat.grid.step))
-        if cfg.use_delayed_snapshot:
-            snap = np.empty_like(hat)
-            snap[:lag] = hat[0]
-            snap[lag:] = hat[:-lag]
-        else:
-            snap = np.broadcast_to(hat[0], hat.shape)
+        snap = np.empty_like(hat)
+        snap[:lag] = hat[0]
+        snap[lag:] = hat[:-lag]
         sel = active
         out[sel] = (hat[sel] - wd[sel] * snap[sel]) / (1.0 - wd[sel])
     return out, active
@@ -460,12 +442,11 @@ PIPELINE_SETTINGS = [
 
 
 @pytest.mark.parametrize("kind", ["pe", "nonpe", "random"])
-@pytest.mark.parametrize("snapshot", [True, False])
-def test_alert_pipeline_matches_old_recovery_body(kind, snapshot):
+def test_alert_pipeline_matches_old_recovery_body(kind):
     # both pipelines against the old copies, every FtcRun field bit for bit,
     # at the default and at non-default gain, threshold and window
     for settings in PIPELINE_SETTINGS:
-        cfg = FtcConfig(**settings, use_delayed_snapshot=snapshot)
+        cfg = FtcConfig(**settings)
         if kind == "random":
             # a silent stretch longer than the window leaves unusable samples
             rng = np.random.default_rng(2024)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,39 @@ def constant_run():
 @pytest.fixture(scope="module")
 def pe_run():
     return run_ftc_scenario("pe", horizon=40.0)
+
+
+class TestRunRecord:
+    """Every value of a study result is read off its runs."""
+
+    def test_ftc_runs_are_the_runs_recoveries(self, constant_run, pe_run):
+        assert constant_run.ftc_runs == {}
+        assert all(run.recovery is None for run in constant_run.runs.values())
+        assert set(pe_run.ftc_runs) == {"ftc", "ftc_d"}
+        for result in (constant_run, pe_run):
+            recovered = {name for name, run in result.runs.items() if run.recovery is not None}
+            assert set(result.ftc_runs) == recovered
+            for name, recovery in result.ftc_runs.items():
+                assert recovery is result.runs[name].recovery
+
+    def test_recovery_estimate_stays_one_dimensional(self, pe_run):
+        # the run's estimate is the (N, 1) reshape of the 1-D recovered one
+        for name in ("ftc", "ftc_d"):
+            run = pe_run.runs[name]
+            assert run.recovery.theta_ftc.values.ndim == 1
+            assert run.theta_hat.values.shape == (pe_run.grid.count, 1)
+            np.testing.assert_array_equal(run.theta_hat.values[:, 0], run.recovery.theta_ftc.values)
+
+    def test_final_errors_are_the_last_errors(self, constant_run, pe_run):
+        for result in (constant_run, pe_run):
+            assert list(result.final_errors) == list(result.runs)
+            for name, run in result.runs.items():
+                last = np.abs(run.theta_tilde.values[-1])
+                assert result.final_errors[name].tobytes() == last.tobytes()
+
+    def test_result_is_frozen(self, pe_run):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pe_run.runs = {}
 
 
 class TestIdentificationScenario:
