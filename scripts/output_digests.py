@@ -2,7 +2,8 @@
 """Run ``dremkit reproduce`` for every preset into OUT/<figure id>, and the
 example configs (``simulate`` on examples/tracking-pe.json and on
 examples/custom-n2.json, whose bank has a two-state channel, ``check-pe
---out`` on examples/counterexample.json) into OUT/<file stem>, then print
+--out`` on examples/counterexample.json and on examples/sincos.json, the CT
+excitation report) into OUT/<file stem>, then print
 one ``sha256  relative/path`` line per file under OUT, sorted by path.
 
 Usage:
@@ -30,6 +31,7 @@ EXAMPLE_RUNS = (
     ("simulate", "tracking-pe.json"),
     ("simulate", "custom-n2.json"),
     ("check-pe", "counterexample.json"),
+    ("check-pe", "sincos.json"),
 )
 
 

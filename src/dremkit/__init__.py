@@ -19,7 +19,6 @@ from .operators import (
     LtvChannelSpec,
     OperatorBank,
     SlidingWindowSpec,
-    apply_channel_ct,
     extend,
     kre_as_drem_bank,
     kre_ct,

@@ -40,6 +40,7 @@ from . import __version__
 from .excitation import counterexample_suite, pe_check_ct, pe_check_dt
 from .ftc import ClipContractError
 from .operators import LtvChannelSpec, OperatorBank
+from .quadrature import window_steps
 from .scenarios import (
     Constant,
     PlantSpec,
@@ -103,6 +104,8 @@ def _number(value, field: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a number, got {value!r}") from None
+    except OverflowError:  # a JSON integer beyond the range of a double
+        raise _fail(field, "expected a number, got an integer too large for a double") from None
     if not np.isfinite(number):
         raise _fail(field, f"expected a finite number, got {value!r}")
     return number
@@ -113,6 +116,8 @@ def _numbers(value, field: str) -> np.ndarray:
         numbers = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise _fail(field, f"expected a list of numbers, got {value!r}") from None
+    except OverflowError:
+        raise _fail(field, "expected numbers, got an integer too large for a double") from None
     if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
         raise _fail(field, f"expected a list of numbers, got {value!r}")
     if not np.isfinite(numbers).all():
@@ -205,6 +210,7 @@ _CHANNEL_FIELDS = {
 
 
 def parse_bank(cfg: dict) -> OperatorBank:
+    """The identification study's bank: two CT channels, one per parameter."""
     entries = _given(cfg, "bank", {"channels": _as_is}, ("channels",))["channels"]
     if not isinstance(entries, list):
         raise _fail("bank.channels", f"expected a list of objects, got {entries!r}")
@@ -216,10 +222,19 @@ def parse_bank(cfg: dict) -> OperatorBank:
             given = _given(ch, "", _CHANNEL_FIELDS)
             if "mu" in given:
                 given["delay_gain"] = given.pop("mu")
-            channels.append(LtvChannelSpec(**given))
+            channel = LtvChannelSpec(**given)
         except ValueError as exc:
             raise _fail(f"bank.channels[{i}]", str(exc)) from exc
-    return OperatorBank(tuple(channels))
+        if channel.kind != "ct":
+            raise _fail(f"bank.channels[{i}]", f"kind {channel.kind!r}; the study's signals are CT")
+        channels.append(channel)
+    try:
+        bank = OperatorBank(tuple(channels))
+    except ValueError as exc:  # no channels
+        raise _fail("bank.channels", str(exc)) from exc
+    if bank.m != 2:
+        raise _fail("bank.channels", f"expected 2 channels, one per parameter, got {bank.m}")
+    return bank
 
 
 def _check_steps(horizon: float, step: float, label: str) -> None:
@@ -406,7 +421,7 @@ _STUDY_FIELDS = {
 
 
 _FTC_FIELDS = {
-    "gamma": _positive, "clip_threshold": _number, "delay_window": _number, "theta_hat0": _number,
+    "gamma": _positive, "clip_threshold": _number, "delay_window": _positive, "theta_hat0": _number,
 }
 
 
@@ -436,6 +451,10 @@ def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Pa
         if "theta_hat0" in given:
             study["theta_hat0"] = given.pop("theta_hat0")
         study["ftc"] = dataclasses.replace(TRACKING_FTC, **given)
+        try:  # the recovery window must be a whole number of grid steps
+            window_steps(study["ftc"].delay_window, study["step"], "delay_window")
+        except ValueError as exc:
+            raise _fail("ftc.delay_window", f"{exc} of {study['step']!r} s") from None
         return "run_ftc_scenario", study, out
     required = mode == "custom"
     plant_cfg = _section(cfg, "plant", required)
@@ -453,6 +472,9 @@ def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Pa
         study["bank"] = parse_bank(bank_cfg)
     est = _section(cfg, "estimator", required) or {}
     study.update(_given(est, "estimator", {"gamma": _positive, "theta_hat0": _numbers}))
+    if "theta_hat0" in est and np.shape(study["theta_hat0"]) != (2,):
+        given = est["theta_hat0"]
+        raise _fail("estimator.theta_hat0", f"expected 2 entries, one per parameter, got {given!r}")
     return "run_identification_scenario", study, out
 
 

@@ -223,15 +223,6 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndar
     return Z + np.einsum("ki,kci->kc", c, np.ascontiguousarray(X.transpose(0, 2, 1)))
 
 
-def apply_channel_ct(spec: LtvChannelSpec, u: Trajectory) -> Trajectory:
-    """Run one channel over a sampled CT input, returning z on the same grid."""
-    if spec.kind != "ct":
-        raise ValueError("channel is not a CT channel")
-    if u.kind != "ct" or not u.is_scalar:
-        raise ValueError("input must be a scalar CT trajectory")
-    return u.with_values(_run_channel(spec, u.grid, u.values[:, None])[:, 0])
-
-
 def extend(bank: OperatorBank, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, Trajectory]:
     """Build the extended pair Y = H[y], Phi = H[phi^T].
 

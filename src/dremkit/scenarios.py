@@ -182,10 +182,9 @@ def convergence_time(
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """The runs of one study by name, with its grid and true parameter trajectory."""
+    """The runs of one study by name, with its grid."""
 
     grid: TimeGrid
-    theta_true: Trajectory
     runs: dict[str, EstimatorRun]
 
     @property
@@ -233,7 +232,6 @@ def run_identification_scenario(
 
     u, y = simulate_plant(plant, grid)
     phi, theta_true = build_regressor(regressor, plant, u, y)
-    truth = Trajectory(grid, np.broadcast_to(theta_true, (grid.count, 2)).copy(), "ct")
 
     cfg = GradientConfig(gamma=gamma, theta_hat0=np.zeros(2) if theta_hat0 is None else theta_hat0)
 
@@ -247,7 +245,6 @@ def run_identification_scenario(
 
     return ScenarioResult(
         grid=grid,
-        theta_true=truth,
         runs={"gradient": gradient, "drem_d0": drem_plain, "drem_dN": drem_boost},
     )
 
@@ -297,6 +294,5 @@ def run_ftc_scenario(
 
     return ScenarioResult(
         grid=grid,
-        theta_true=truth,
         runs={"gradient": gradient, "ftc": as_run(plain), "ftc_d": as_run(alert)},
     )

@@ -111,27 +111,6 @@ class Trajectory:
     def with_values(self, values: np.ndarray) -> "Trajectory":
         return Trajectory(self.grid, values, self.kind)
 
-    def _check_compatible(self, other: "Trajectory") -> None:
-        if self.grid != other.grid or self.kind != other.kind:
-            raise ValueError("trajectories live on different grids")
-        if self.values.shape != other.values.shape:
-            raise ValueError(
-                f"shape mismatch {self.values.shape} vs {other.values.shape}"
-            )
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        self._check_compatible(other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        self._check_compatible(other)
-        return self.with_values(self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Trajectory":
-        return self.with_values(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def values_at(fn: Callable, args: np.ndarray) -> np.ndarray:
     """``fn`` at every entry of ``args``, stacked along a leading axis.
@@ -193,9 +172,6 @@ class ThetaSchedule:
     @property
     def dim(self) -> int:
         return self.pieces[0].value.shape[0]
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self._values(np.array([t], dtype=float))[0]
 
     def _values(self, times: np.ndarray) -> np.ndarray:
         """The profile at every entry of ``times``, one m-vector per row.

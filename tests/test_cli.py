@@ -233,7 +233,7 @@ class TestCsvRoundTrip:
         mixed = MixedRegression(calY=Trajectory(grid, np.ones((grid.count, 1)), "ct"), Delta=delta)
         run = drem_ct(mixed, GradientConfig(1.0, np.zeros(1)))
         assert run.theta_tilde is None
-        result = ScenarioResult(grid=grid, theta_true=None, runs={"drem_blind": run})
+        result = ScenarioResult(grid=grid, runs={"drem_blind": run})
         writer = OutputWriter(tmp_path / "o")
         with pytest.raises(ValueError, match="drem_blind"):
             write_result(writer, result)
@@ -560,6 +560,34 @@ class TestSimulate:
             ("simulate", edited(CUSTOM_CFG, input_kind="rich"),
              "'input_kind': unknown field; accepted: mode, grid, out_dir, plant, regressor, bank,"
              " estimator"),
+            # a JSON integer too large for a double
+            ("simulate", edited(FTC_CFG, ftc={"gamma": 10**400}), "'ftc.gamma': expected a number"),
+            ("simulate", edited(CUSTOM_CFG, estimator={"theta_hat0": [10**400, 0.0]}),
+             "'estimator.theta_hat0': expected numbers"),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [{"n": 1, "A": [10**400], "b": 1.0, "c": 1.0},
+                                                               CUSTOM_CFG["bank"]["channels"][1]]}),
+             "'bank.channels[0]': config field 'A': expected numbers"),
+            ("simulate", edited(CUSTOM_CFG, plant={"a": -0.4, "b": 0.4, "input": 10**400}),
+             "'plant.input': expected a number"),
+            ("check-pe", {"signal": {"kind": "counterexample", "horizon": 10**400}},
+             "'signal.horizon': expected a number"),
+            # a recovery window off the grid, given or the default one
+            ("simulate", edited(FTC_CFG, ftc=dict(FTC_CFG["ftc"], delay_window=0.2005)), "'ftc.delay_window'"),
+            ("simulate", edited(FTC_CFG, grid={"step": 0.03, "horizon": 1.0}, ftc={}), "'ftc.delay_window'"),
+            # the identification study fits 2 parameters from CT signals
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": CUSTOM_CFG["bank"]["channels"] * 2}),
+             "'bank.channels': expected 2 channels, one per parameter, got 4"),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": CUSTOM_CFG["bank"]["channels"][:1]}),
+             "'bank.channels': expected 2 channels, one per parameter, got 1"),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [CUSTOM_CFG["bank"]["channels"][0],
+                                                               {"n": 1, "A": 0.5, "b": 1.0, "c": 1.0, "kind": "dt"}]}),
+             "'bank.channels[1]': kind 'dt'"),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [{"n": 0, "d": 1.0, "kind": "dt"}] * 2}),
+             "'bank.channels[0]': kind 'dt'"),
+            ("simulate", edited(CUSTOM_CFG, estimator={"theta_hat0": [0.0, 0.0, 0.0]}),
+             "'estimator.theta_hat0': expected 2 entries"),
+            ("simulate", edited(IDENTIFY_CFG, estimator={"theta_hat0": [1.0]}),
+             "'estimator.theta_hat0': expected 2 entries"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):

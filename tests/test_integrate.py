@@ -25,10 +25,11 @@ from dremkit.mixing import MixedRegression
 from dremkit.operators import (
     KreSpec,
     LtvChannelSpec,
+    OperatorBank,
     _coefficient_table,
     _delay_steps,
     _delayed_input,
-    apply_channel_ct,
+    extend,
     kre_ct,
 )
 from dremkit.scenarios import (
@@ -484,9 +485,10 @@ class TestSitesMatchTheirOldLoops:
         ids=["n1", "n2"],
     )
     def test_apply_channel_ct(self, spec, grid, rng):
+        # a one-channel bank's Y is the channel applied to u
         u = Trajectory(grid, smooth_signals(rng, grid, 1)[:, 0], "ct")
-        z = apply_channel_ct(spec, u)
-        assert_close(z.values, old_apply_channel_ct(spec, u))
+        Y, _ = extend(OperatorBank((spec,)), u, u.with_values(u.values[:, None]))
+        assert_close(Y.values[:, 0], old_apply_channel_ct(spec, u))
 
     def test_kre_ct(self, grid, rng):
         pv = smooth_signals(rng, grid, 3)

@@ -13,7 +13,6 @@ from dremkit.operators import (
     _coefficient_table,
     _delay_steps,
     _delayed_input,
-    apply_channel_ct,
     extend,
     kre_as_drem_bank,
     kre_ct,
@@ -34,9 +33,9 @@ def dt_traj(values):
     return Trajectory(TimeGrid(0.0, 1.0, len(values)), values, "dt")
 
 
-def run_dt_channel(spec, u):
-    """z of one DT channel over the scalar ``u``: ``extend`` with a
-    one-channel bank, whose Y is the channel applied to ``u``."""
+def run_channel(spec, u):
+    """z of one channel over the scalar ``u``: ``extend`` with a one-channel
+    bank, whose Y is the channel applied to ``u``."""
     Y, _ = extend(OperatorBank((spec,)), u, u.with_values(u.values[:, None]))
     return Y.values[:, 0]
 
@@ -73,38 +72,37 @@ class TestChannelConstruction:
     def test_whole_dt_delay_as_float_accepted(self):
         u = dt_traj([1.0, 2.0, 3.0, 4.0])
         spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=2.0, kind="dt")
-        np.testing.assert_array_equal(run_dt_channel(spec, u), [0.0, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(run_channel(spec, u), [0.0, 0.0, 1.0, 2.0])
 
 
 class TestApplyChannelCt:
+    """CT channels, each run through ``extend`` as a one-channel bank."""
+
     def test_pure_feedthrough_is_identity(self, rng):
         u = ct_traj(rng.normal(size=200))
         spec = LtvChannelSpec(n=0, d=1.0, kind="ct")
-        z = apply_channel_ct(spec, u)
-        np.testing.assert_array_equal(z.values, u.values)
+        np.testing.assert_array_equal(run_channel(spec, u), u.values)
 
     def test_pure_delay_of_ramp(self):
         h = 1e-3
         t = h * np.arange(1501)
         u = ct_traj(t, step=h)
         spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=0.5, kind="ct")
-        z = apply_channel_ct(spec, u)
         expected = np.where(t >= 0.5, t - 0.5, 0.0)
-        np.testing.assert_allclose(z.values, expected, atol=1e-12)
+        np.testing.assert_allclose(run_channel(spec, u), expected, atol=1e-12)
 
     def test_first_order_step_response(self):
         # x' = -x + 1 from rest: z(t) = 1 - exp(-t)
         h = 1e-3
         u = ct_traj(np.ones(1001), step=h)
         spec = LtvChannelSpec(n=1, A=-1.0, b=1.0, c=1.0, kind="ct")
-        z = apply_channel_ct(spec, u)
-        assert abs(z.values[1000] - (1.0 - np.exp(-1.0))) <= 1e-8
+        assert abs(run_channel(spec, u)[1000] - (1.0 - np.exp(-1.0))) <= 1e-8
 
     def test_off_grid_delay_warns(self):
         u = ct_traj(np.zeros(100))
         spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=0.0015, kind="ct")
         with pytest.warns(UserWarning):
-            apply_channel_ct(spec, u)
+            run_channel(spec, u)
 
     @given(
         a=st.floats(-3, 3, allow_nan=False),
@@ -119,9 +117,8 @@ class TestApplyChannelCt:
         u2 = Trajectory(grid, rng.normal(size=120), "ct")
         combo = Trajectory(grid, a * u1.values + b * u2.values, "ct")
         spec = LtvChannelSpec(n=1, A=-1.5, b=0.7, c=1.2, d=0.3, delay_gain=0.5, delay=0.05, kind="ct")
-        z_combo = apply_channel_ct(spec, combo)
-        z_parts = a * apply_channel_ct(spec, u1).values + b * apply_channel_ct(spec, u2).values
-        np.testing.assert_allclose(z_combo.values, z_parts, atol=1e-10, rtol=1e-10)
+        z_parts = a * run_channel(spec, u1) + b * run_channel(spec, u2)
+        np.testing.assert_allclose(run_channel(spec, combo), z_parts, atol=1e-10, rtol=1e-10)
 
     def test_bibo_gain_bound(self, rng):
         grid = TimeGrid(0.0, 1e-2, 500)
@@ -129,11 +126,10 @@ class TestApplyChannelCt:
         # l1 norm of the pulse response: the channel convolves grid samples
         # with it, so it bounds |z| for every input with |u| <= 1
         pulse = Trajectory(grid, np.eye(1, grid.count)[0], "ct")
-        bound = np.abs(apply_channel_ct(spec, pulse).values).sum()
+        bound = np.abs(run_channel(spec, pulse)).sum()
         for _ in range(5):
             u = Trajectory(grid, rng.uniform(-1, 1, size=500), "ct")
-            z = apply_channel_ct(spec, u)
-            assert np.abs(z.values).max() <= bound + 1e-9
+            assert np.abs(run_channel(spec, u)).max() <= bound + 1e-9
 
 
 class TestApplyChannelDt:
@@ -141,18 +137,18 @@ class TestApplyChannelDt:
 
     def test_pure_feedthrough(self, rng):
         u = dt_traj(rng.normal(size=50))
-        z = run_dt_channel(LtvChannelSpec(n=0, d=1.0, kind="dt"), u)
+        z = run_channel(LtvChannelSpec(n=0, d=1.0, kind="dt"), u)
         np.testing.assert_array_equal(z, u.values)
 
     def test_two_step_delay(self):
         u = dt_traj([1.0, 2.0, 3.0, 4.0])
-        z = run_dt_channel(LtvChannelSpec(n=0, delay_gain=1.0, delay=2, kind="dt"), u)
+        z = run_channel(LtvChannelSpec(n=0, delay_gain=1.0, delay=2, kind="dt"), u)
         np.testing.assert_array_equal(z, [0.0, 0.0, 1.0, 2.0])
 
     def test_first_order_recursion_against_direct_loop(self):
         # oracle: x(k+1) = 0.5 x(k) + u(k), z = x, computed by a plain loop
         u = dt_traj(np.ones(10))
-        z = run_dt_channel(LtvChannelSpec(n=1, A=0.5, b=1.0, c=1.0, kind="dt"), u)
+        z = run_channel(LtvChannelSpec(n=1, A=0.5, b=1.0, c=1.0, kind="dt"), u)
         x = 0.0
         expected = []
         for k in range(10):
@@ -165,7 +161,7 @@ class TestApplyChannelDt:
         gains = np.array([2.0, 3.0, 5.0, 7.0])
         u = dt_traj([1.0, 1.0, 1.0, 1.0])
         spec = LtvChannelSpec(n=0, d=lambda k: gains[int(k)], kind="dt")
-        z = run_dt_channel(spec, u)
+        z = run_channel(spec, u)
         np.testing.assert_array_equal(z, gains)
 
 
@@ -270,10 +266,10 @@ class TestSlidingWindow:
                 spec = LtvChannelSpec(
                     n=0, delay_gain=delayed_gain(phi_vals[:, i], j), delay=j, kind="dt"
                 )
-                acc_y += run_dt_channel(spec, y)
+                acc_y += run_channel(spec, y)
                 for col in range(m):
                     comp = Trajectory(grid, phi_vals[:, col], "dt")
-                    acc_phi[:, col] += run_dt_channel(spec, comp)
+                    acc_phi[:, col] += run_channel(spec, comp)
             np.testing.assert_array_equal(acc_y, Y.values[:, i])
             np.testing.assert_array_equal(acc_phi, Phi.values[:, i, :])
 
@@ -505,8 +501,8 @@ class TestSharedChannelRunner:
         np.testing.assert_array_equal(bits(Y.values), bits(Yr.values))
         np.testing.assert_array_equal(bits(Phi.values), bits(Phir.values))
         for ch in bank.channels:
-            z = apply_channel_ct(ch, y)
-            np.testing.assert_array_equal(bits(z.values), bits(reference_apply_channel_ct(ch, y).values))
+            z = run_channel(ch, y)
+            np.testing.assert_array_equal(bits(z), bits(reference_apply_channel_ct(ch, y).values))
 
     @given(count=st.sampled_from([1, 2, 3, 5, 6, 7, 100, 129, 301]), **bank_cases)
     @settings(max_examples=40)
@@ -518,7 +514,7 @@ class TestSharedChannelRunner:
             scale = max(np.abs(ref).max(), 1e-300)
             assert np.abs(new - ref).max() <= 1e-12 * scale
         for ch in bank.channels:
-            z, zr = run_dt_channel(ch, y), reference_apply_channel_dt(ch, y).values
+            z, zr = run_channel(ch, y), reference_apply_channel_dt(ch, y).values
             assert np.abs(z - zr).max() <= 1e-12 * max(np.abs(zr).max(), 1e-300)
             if ch.n == 0:
                 # no state: the same arithmetic, bit for bit

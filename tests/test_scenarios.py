@@ -15,7 +15,7 @@ from dremkit.scenarios import (
     simulate_plant,
     tracking_schedule,
 )
-from dremkit.signals import TimeGrid, Trajectory
+from dremkit.signals import TimeGrid, Trajectory, sample_schedule
 
 
 class TestSimulatePlant:
@@ -227,14 +227,17 @@ class TestIdentificationScenario:
 
 class TestFtcScenario:
     def test_schedule_matches_profile(self, pe_run):
-        sched = tracking_schedule()
-        t = pe_run.grid.times()
-        vals = pe_run.theta_true.values[:, 0]
+        # the study's errors are its estimates less the sampled schedule
+        truth = sample_schedule(tracking_schedule(), pe_run.grid).values
+        gradient = pe_run.runs["gradient"]
+        np.testing.assert_array_equal(
+            gradient.theta_tilde.values, gradient.theta_hat.values - truth
+        )
+        vals = truth[:, 0]
         k5, k25, k35 = [int(round(x / 1e-3)) for x in (5.0, 25.0, 35.0)]
         assert vals[k5] == 10.0
         assert vals[k25] == pytest.approx(12.5)
         assert vals[k35] == 10.0
-        assert sched.value_at(25.0)[0] == pytest.approx(12.5)
 
     def test_early_finite_time_convergence(self, pe_run):
         t = pe_run.grid.times()

@@ -23,5 +23,5 @@ def test_output_digests(tmp_path, monkeypatch, capsys):
     assert [path for _, path in listing] == written
     for digest, path in listing:
         assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest()
-    for run in (*FIGURE_IDS, "tracking-pe", "custom-n2", "counterexample"):
+    for run in (*FIGURE_IDS, "tracking-pe", "custom-n2", "counterexample", "sincos"):
         assert f"{run}/manifest.json" in written
