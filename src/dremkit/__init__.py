@@ -7,13 +7,7 @@ harness with a CSV-emitting command line front end.
 
 __version__ = "0.1.0"
 
-from .signals import (
-    TimeGrid,
-    Trajectory,
-    SchedulePiece,
-    ThetaSchedule,
-    sample_schedule,
-)
+from .signals import TimeGrid, Trajectory
 from .operators import (
     KreSpec,
     LtvChannelSpec,
@@ -73,5 +67,4 @@ from .scenarios import (
     run_ftc_scenario,
     run_identification_scenario,
     simulate_plant,
-    tracking_schedule,
 )

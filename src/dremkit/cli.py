@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .excitation import counterexample_suite, pe_check_ct, pe_check_dt
 from .ftc import ClipContractError
-from .operators import LtvChannelSpec, OperatorBank
+from .operators import LtvChannelSpec, OperatorBank, _delay_steps
 from .quadrature import window_steps
 from .scenarios import (
     Constant,
@@ -470,6 +470,11 @@ def _parse(cfg: dict, command: str, out_flag: str | None) -> tuple[str, dict, Pa
     bank_cfg = _section(cfg, "bank", required)
     if bank_cfg is not None:
         study["bank"] = parse_bank(bank_cfg)
+        for i, channel in enumerate(study["bank"].channels):
+            try:  # a delay tap must land on the grid, by the runner's own test
+                _delay_steps(channel.delay, study["step"])
+            except ValueError as exc:
+                raise _fail(f"bank.channels[{i}].delay", str(exc)) from None
     est = _section(cfg, "estimator", required) or {}
     study.update(_given(est, "estimator", {"gamma": _positive, "theta_hat0": _numbers}))
     if "theta_hat0" in est and np.shape(study["theta_hat0"]) != (2,):
@@ -510,6 +515,11 @@ def _parse_pe_check(cfg: dict) -> tuple[str, dict]:
         given = _given(sig, "signal", readers)
         signal = {"horizon": 8.0 * np.pi, "step": 2 * np.pi / 6000, **given}
     _check_steps(signal["horizon"], signal["step"], "signal")
+    if kind == "zero":  # the check holds one dim x dim Gramian per sample
+        entries = (round(signal["horizon"] / signal["step"]) + 1) * signal["dim"] ** 2
+        if entries > MAX_SAMPLES:
+            message = f"{signal['dim']} gives {entries} Gramian entries, more than {MAX_SAMPLES}"
+            raise _fail("signal.dim", message)
     window = _number if domain == "ct" else _integer
     check = _given(cfg, "", {**_PE_FIELDS, "window": window}, ("window",))
     return "_pe_report", {"kind": kind, "domain": domain, **signal, **check}

@@ -24,37 +24,27 @@ compose their exact per-step maps ``(A(k), b(k) u(k))`` with the same scan,
 so they match the sample-by-sample recursion up to rounding; ``drem_dt`` in
 :mod:`dremkit.estimators` stays sequential. Signals are taken to vanish
 before time zero, so delayed taps read 0 until the delay window fills.
-
-Coefficients are tabulated once per record. A callable coefficient that
-offers an ``evaluate`` method (the named signals of
-:mod:`dremkit.scenarios`, the sampled columns of :func:`kre_as_drem_bank`)
-is evaluated on the whole time (or index) array at once; any other
-callable is called once per sample.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .integrate import affine_scan, rk4_affine
-from .signals import SignalKind, TimeGrid, Trajectory, values_at
+from .signals import SignalKind, TimeGrid, Trajectory
 
 Coefficient = float | Sequence | np.ndarray | Callable
 
 
 def _coefficient_table(value: Coefficient, args: np.ndarray, shape: tuple) -> np.ndarray:
-    """Evaluate a constant or callable coefficient at every sample argument.
-
-    CT coefficients are functions of time in seconds, DT coefficients are
-    functions of the sample index (see :func:`~dremkit.signals.values_at`).
-    """
+    """Evaluate a constant or callable coefficient at every sample argument:
+    a callable is called once, on the whole array ``args``."""
     n = len(args)
     if callable(value):
-        return values_at(value, args).reshape((n,) + shape)
+        return np.asarray(value(args), dtype=float).reshape((n,) + shape)
     const = np.asarray(value, dtype=float).reshape(shape)
     return np.broadcast_to(const, (n,) + shape).copy()
 
@@ -64,8 +54,11 @@ class LtvChannelSpec:
     """One SISO extension channel.
 
     ``A``, ``b``, ``c``, ``d`` and ``delay_gain`` may be constants or
-    callables (of time for CT channels, of the sample index for DT ones).
-    ``delay`` is in seconds for CT channels and in whole steps for DT channels.
+    callables. A callable is called once per record, on the array of every
+    sample's argument (times in seconds for CT channels, sample indices for
+    DT ones), and returns one value per entry along a leading axis.
+    ``delay`` is in seconds for CT channels and in whole steps for DT
+    channels; a CT delay must be a whole number of grid steps.
     ``n = 0`` is a static channel: feedthrough and the delay tap. Stability
     of a time-varying ``A`` is the caller's responsibility; a constant ``A``
     is checked at construction.
@@ -170,13 +163,10 @@ class KreSpec:
 
 
 def _delay_steps(delay: float, step: float) -> int:
-    """Round a CT delay to grid steps, warning when the request was off-grid."""
+    """A CT delay in grid steps; ValueError unless it is a whole number of them."""
     lag = int(round(delay / step))
     if abs(delay - lag * step) > 1e-9 * max(step, abs(delay), 1e-300):
-        warnings.warn(
-            f"delay {delay} rounded to {lag} grid steps ({lag * step})",
-            stacklevel=4,
-        )
+        raise ValueError(f"delay {delay!r} is not a whole number of grid steps of {step!r} s")
     return max(lag, 0)
 
 
@@ -312,18 +302,13 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
 @dataclass(frozen=True, eq=False)
 class _SampledColumn:
     """A sampled signal read back as a function of time: the sample nearest
-    to t (ties to even), clamped to the record. Call it at one time, or at
-    an array of times with :meth:`evaluate`."""
+    to each time (ties to even), clamped to the record."""
 
     column: np.ndarray
     t0: float
     step: float
 
-    def __call__(self, t: float) -> float:
-        k = int(round((t - self.t0) / self.step))
-        return float(self.column[min(max(k, 0), len(self.column) - 1)])
-
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
+    def __call__(self, times: np.ndarray) -> np.ndarray:
         k = np.rint((np.asarray(times, float) - self.t0) / self.step)
         return self.column[np.clip(k, 0, len(self.column) - 1).astype(np.intp)]
 

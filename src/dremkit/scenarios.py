@@ -21,7 +21,6 @@ draws all of its excitation from the startup transient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,7 @@ from .ftc import FtcConfig, FtcRun, run_ftc, run_ftc_alert
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression, extend_with_feedforward, mix
 from .operators import LtvChannelSpec, OperatorBank, extend
-from .signals import (
-    DEFAULT_CT_STEP,
-    SchedulePiece,
-    ThetaSchedule,
-    TimeGrid,
-    Trajectory,
-    require_positive,
-    sample_schedule,
-    values_at,
-)
+from .signals import DEFAULT_CT_STEP, TimeGrid, Trajectory, require_positive
 
 CONVERGENCE_TOL = 0.01
 TRACKING_FTC = FtcConfig(gamma=2.0)  # the tracking study's recovery and estimator gain
@@ -48,31 +38,23 @@ TRACKING_FTC = FtcConfig(gamma=2.0)  # the tracking study's recovery and estimat
 
 @dataclass(frozen=True)
 class Sinusoid:
-    """amplitude * sin(frequency * t + phase); call it at one time, or at an
-    array of times with :meth:`evaluate`."""
+    """amplitude * sin(frequency * t + phase) at a time or an array of times."""
 
     amplitude: float
     frequency: float  # rad/s
     phase: float = 0.0
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude * math.sin(self.frequency * t + self.phase)
-
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
+    def __call__(self, times: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(self.frequency * np.asarray(times, float) + self.phase)
 
 
 @dataclass(frozen=True)
 class Constant:
-    """A constant level; call it at one time, or at an array of times with
-    :meth:`evaluate`."""
+    """A constant level at a time or an array of times."""
 
     level: float
 
-    def __call__(self, t: float) -> float:
-        return self.level
-
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
+    def __call__(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), float(self.level))
 
 
@@ -106,8 +88,8 @@ def simulate_plant(spec: PlantSpec, grid: TimeGrid) -> tuple[Trajectory, Traject
     """RK4 simulation with the input evaluated analytically at half steps."""
     h = grid.step
     times = grid.times()
-    u = values_at(spec.input, times)
-    um = values_at(spec.input, times[:-1] + 0.5 * h)
+    u = spec.input(times)
+    um = spec.input(times[:-1] + 0.5 * h)
     a, b = spec.a, spec.b
     y = affine_scan(*rk4_affine(a, a, a, b * u[:-1], b * um, b * u[1:], h), spec.y0)
     return Trajectory(grid, u, "ct"), Trajectory(grid, y, "ct")
@@ -147,17 +129,11 @@ def identification_bank() -> OperatorBank:
     )
 
 
-def tracking_schedule() -> ThetaSchedule:
-    """Piecewise profile: 10, jump to 15 at t=10, ramp back down from t=20,
-    then 10 again from t=30."""
-    return ThetaSchedule(
-        (
-            SchedulePiece(start=0.0, value=10.0),
-            SchedulePiece(start=10.0, value=15.0),
-            SchedulePiece(start=20.0, value=15.0, slope=-0.5),
-            SchedulePiece(start=30.0, value=10.0),
-        )
-    )
+def _tracking_truth(t: np.ndarray) -> np.ndarray:
+    """The tracking study's parameter at every time: 10, a jump to 15 at
+    t = 10, a ramp back down from t = 20, then 10 again from t = 30. Each
+    jump takes the new value at its own time."""
+    return np.select([t < 10.0, t < 20.0, t < 30.0], [10.0, 15.0, 15.0 + -0.5 * (t - 20.0)], 10.0)
 
 
 def convergence_time(
@@ -272,8 +248,9 @@ def run_ftc_scenario(
         raise ValueError(f"unknown delta kind {delta_kind!r}")
     delta = Trajectory(grid, delta_vals, "ct")
 
-    truth = sample_schedule(tracking_schedule(), grid, "ct")
-    y = delta_vals * truth.values[:, 0]
+    theta = _tracking_truth(times)
+    truth = Trajectory(grid, theta[:, None], "ct")
+    y = delta_vals * theta
 
     mixed = MixedRegression(
         calY=Trajectory(grid, y[:, None], "ct"),

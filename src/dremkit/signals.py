@@ -1,5 +1,5 @@
 """Uniform-grid signal containers shared by the sampled continuous-time and
-discrete-time code paths, plus elementary generators.
+discrete-time code paths.
 
 A :class:`Trajectory` stores one sample per grid point; samples are scalars,
 m-vectors, or m-by-m matrices. Trajectories are immutable after construction
@@ -9,7 +9,7 @@ and safe to share across concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -110,90 +110,3 @@ class Trajectory:
 
     def with_values(self, values: np.ndarray) -> "Trajectory":
         return Trajectory(self.grid, values, self.kind)
-
-
-def values_at(fn: Callable, args: np.ndarray) -> np.ndarray:
-    """``fn`` at every entry of ``args``, stacked along a leading axis.
-
-    A callable with an ``evaluate`` method (the named signals of
-    :mod:`dremkit.scenarios`, the sampled columns of
-    :func:`dremkit.operators.kre_as_drem_bank`) is evaluated on the whole
-    array in one call; any other callable is called once per entry.
-    """
-    if hasattr(fn, "evaluate"):
-        return np.asarray(fn.evaluate(args), dtype=float)
-    return np.array([fn(a) for a in args], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class SchedulePiece:
-    """One segment of a piecewise parameter profile, active from ``start`` on.
-
-    ``slope`` is a per-second drift vector; ``None`` means the piece holds
-    ``value`` constant.
-    """
-
-    start: float
-    value: np.ndarray
-    slope: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        value = np.atleast_1d(np.asarray(self.value, dtype=float))
-        object.__setattr__(self, "value", value)
-        if self.slope is not None:
-            slope = np.atleast_1d(np.asarray(self.slope, dtype=float))
-            if slope.shape != value.shape:
-                raise ValueError("slope and value must have the same shape")
-            object.__setattr__(self, "slope", slope)
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaSchedule:
-    """Piecewise-constant / piecewise-ramp parameter profile.
-
-    Evaluation is right-continuous: at a piece boundary the new piece's value
-    is used.
-    """
-
-    pieces: tuple[SchedulePiece, ...]
-
-    def __post_init__(self) -> None:
-        pieces = tuple(self.pieces)
-        if not pieces:
-            raise ValueError("schedule needs at least one piece")
-        starts = [p.start for p in pieces]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("piece start times must be strictly increasing")
-        dims = {p.value.shape for p in pieces}
-        if len(dims) != 1:
-            raise ValueError("all pieces must share one parameter dimension")
-        object.__setattr__(self, "pieces", pieces)
-
-    @property
-    def dim(self) -> int:
-        return self.pieces[0].value.shape[0]
-
-    def _values(self, times: np.ndarray) -> np.ndarray:
-        """The profile at every entry of ``times``, one m-vector per row.
-
-        Each piece fills the samples it covers with ``value + slope*(t -
-        start)`` in one array expression; samples before the first start
-        take the first piece.
-        """
-        starts = np.array([p.start for p in self.pieces])
-        idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
-        out = np.empty((len(times), self.dim))
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if piece.slope is None:
-                out[mask] = piece.value
-            else:
-                out[mask] = piece.value + piece.slope * (times[mask, None] - piece.start)
-        return out
-
-
-def sample_schedule(
-    sched: ThetaSchedule, grid: TimeGrid, kind: SignalKind = "ct"
-) -> Trajectory:
-    """Sample a parameter schedule on a grid, one m-vector per grid time."""
-    return Trajectory(grid, sched._values(grid.times()), kind)

@@ -14,6 +14,7 @@ from dremkit.cli import (
     FLOAT_FMT,
     ConfigError,
     OutputWriter,
+    _parse,
     main,
     parse_bank,
     read_csv,
@@ -588,6 +589,11 @@ class TestSimulate:
              "'estimator.theta_hat0': expected 2 entries"),
             ("simulate", edited(IDENTIFY_CFG, estimator={"theta_hat0": [1.0]}),
              "'estimator.theta_hat0': expected 2 entries"),
+            # a channel delay off the grid
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [
+                {"n": 1, "A": -1.0, "b": 1.0, "c": 1.0, "mu": 0.5, "delay": 0.0505},
+                CUSTOM_CFG["bank"]["channels"][1]]}),
+             "'bank.channels[0].delay': delay 0.0505 is not a whole number of grid steps"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):
@@ -845,6 +851,17 @@ class TestCheckPe:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dim, refused", [(316, False), (317, True), (10**9, True)])
+    def test_dim_bounded_by_the_gramian_stack(self, dim, refused):
+        # 1001 samples of dim x dim Gramians: 316 gives 99 955 856 entries and
+        # 317 gives 100 589 489, above MAX_SAMPLES; only parsing runs here
+        cfg = {"signal": {"kind": "zero", "horizon": 1.0, "dim": dim}, "window": 0.5}
+        if refused:
+            with pytest.raises(ConfigError, match="'signal.dim'"):
+                _parse(cfg, "check-pe", None)
+        else:
+            assert _parse(cfg, "check-pe", None)[1]["dim"] == dim
 
     @pytest.mark.parametrize("max_window", [0, -3])
     def test_counterexample_without_windows_exits_1(self, tmp_path, capsys, max_window):

@@ -478,7 +478,7 @@ class TestSitesMatchTheirOldLoops:
             ),
             LtvChannelSpec(
                 n=2, A=[[-1.0, 2.0], [-2.0, -3.0]],
-                b=lambda t: np.array([np.sin(2.0 * t), 1.0]), c=[1.0, -0.5],
+                b=lambda t: np.stack([np.sin(2.0 * t), np.ones_like(t)], axis=-1), c=[1.0, -0.5],
                 delay_gain=-0.8, delay=0.1, x0=np.array([0.2, -0.6]), kind="ct",
             ),
         ],

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,10 +96,10 @@ class TestApplyChannelCt:
         spec = LtvChannelSpec(n=1, A=-1.0, b=1.0, c=1.0, kind="ct")
         assert abs(run_channel(spec, u)[1000] - (1.0 - np.exp(-1.0))) <= 1e-8
 
-    def test_off_grid_delay_warns(self):
+    def test_off_grid_delay_raises(self):
         u = ct_traj(np.zeros(100))
         spec = LtvChannelSpec(n=0, delay_gain=1.0, delay=0.0015, kind="ct")
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="not a whole number of grid steps"):
             run_channel(spec, u)
 
     @given(
@@ -160,7 +158,7 @@ class TestApplyChannelDt:
     def test_time_varying_gain_receives_sample_index(self):
         gains = np.array([2.0, 3.0, 5.0, 7.0])
         u = dt_traj([1.0, 1.0, 1.0, 1.0])
-        spec = LtvChannelSpec(n=0, d=lambda k: gains[int(k)], kind="dt")
+        spec = LtvChannelSpec(n=0, d=lambda k: gains[k], kind="dt")
         z = run_channel(spec, u)
         np.testing.assert_array_equal(z, gains)
 
@@ -253,11 +251,7 @@ class TestSlidingWindow:
         Y, Phi = sliding_window_phi(y, phi, SlidingWindowSpec(window=window))
 
         def delayed_gain(column, j):
-            def mu(k):
-                k = int(k)
-                return column[k - j] if k - j >= 0 else 0.0
-
-            return mu
+            return lambda k: np.where(k >= j, column[k - j], 0.0)
 
         for i in range(m):
             acc_y = np.zeros(n)
@@ -328,8 +322,9 @@ class TestKre:
 
 
 class TestArrayEvaluatedCoefficients:
-    """Callables with an ``evaluate`` method are tabulated in one call; the
-    table equals the per-sample calls bit for bit."""
+    """A callable coefficient is tabulated by one call on the whole array; for
+    the named signals and the sampled columns the table equals per-sample
+    calls bit for bit."""
 
     @given(
         t0=st.floats(-5.0, 5.0),
@@ -345,7 +340,8 @@ class TestArrayEvaluatedCoefficients:
         column = bank.channels[0].b
         # off-grid times, times outside the record and exact half steps (ties)
         times = np.array(queries + [t0 + (k + 0.5) * step for k in range(-1, count + 1)])
-        np.testing.assert_array_equal(column.evaluate(times), [column(t) for t in times])
+        nearest = [min(max(int(round((t - t0) / step)), 0), count - 1) for t in times]
+        np.testing.assert_array_equal(column(times), column.column[nearest])
 
     @pytest.mark.parametrize(
         "signal", [Sinusoid(2.0, 3.1, 0.4), Sinusoid(-15.0, 2.5, 1.0), Constant(15), Constant(-0.25)]
@@ -428,10 +424,10 @@ def reference_extend(bank, y, phi):
 def random_channel(rng, kind, n, style, lag, step):
     """A stable channel with a delay tap of ``lag`` steps and a non-zero x0.
 
-    ``style`` picks the coefficients: constants, plain callables (called
-    once per sample) or named ``Sinusoid`` signals (evaluated on the whole
-    array). ``A`` is constant or a positively scaled constant, so it stays
-    stable; vector ``b`` and ``c`` of a Sinusoid channel are callables.
+    ``style`` picks the coefficients: constants, plain numpy callables or
+    named ``Sinusoid`` signals, each callable evaluated on the whole array.
+    ``A`` is constant or a positively scaled constant, so it stays stable;
+    vector ``b`` and ``c`` of a Sinusoid channel are callables.
     """
 
     def scalar():
@@ -443,7 +439,7 @@ def random_channel(rng, kind, n, style, lag, step):
             return value if shape else float(value)
         if style == "sinusoid" and not shape:
             return Sinusoid(scalar(), w, scalar())
-        return lambda t: value * math.cos(w * t)
+        return lambda t: np.multiply.outer(np.cos(w * t), value)
 
     fields = dict(d=coefficient(), delay_gain=coefficient(), delay=lag * step, kind=kind)
     if n == 0:
@@ -454,7 +450,7 @@ def random_channel(rng, kind, n, style, lag, step):
         A0 = R - (radius + rng.uniform(0.5, 3.0)) * np.eye(n)
     else:
         A0 = rng.uniform(0.1, 0.9) * R / radius
-    A = A0 if style == "constant" else lambda t: A0 * (1.0 + 0.05 * math.sin(t))
+    A = A0 if style == "constant" else lambda t: np.multiply.outer(1.0 + 0.05 * np.sin(t), A0)
     shape = (n,) if n > 1 else ()
     return LtvChannelSpec(
         n=n, A=A, b=coefficient(shape), c=coefficient(shape),
@@ -541,9 +537,11 @@ class TestSharedChannelRunner:
 
         def b(t):
             calls.append(t)
-            return 1.0
+            return np.ones_like(t)
 
         grid = TimeGrid(0.0, 1e-2, 50)
         bank = OperatorBank((LtvChannelSpec(n=1, A=-1.0, b=b, c=1.0),) * 3)
         extend(bank, Trajectory(grid, np.ones(50), "ct"), Trajectory(grid, np.ones((50, 3)), "ct"))
-        assert len(calls) == 3 * 50
+        assert len(calls) == 3
+        for t in calls:
+            np.testing.assert_array_equal(t, grid.times())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dremkit.scenarios import (
+    _tracking_truth,
     Constant,
     PlantSpec,
     RegressorSpec,
@@ -13,21 +14,22 @@ from dremkit.scenarios import (
     run_ftc_scenario,
     run_identification_scenario,
     simulate_plant,
-    tracking_schedule,
 )
-from dremkit.signals import TimeGrid, Trajectory, sample_schedule
+from dremkit.signals import TimeGrid, Trajectory
 
 
 class TestSimulatePlant:
     @pytest.mark.parametrize("drive", [Sinusoid(15.0, 2.5, 1.0), Constant(15.0)])
     def test_named_input_matches_a_plain_callable(self, drive):
-        # a named signal is evaluated on the whole grid at once, a plain
-        # callable once per sample; the trajectories agree bit for bit
+        # the input is called on whole arrays of times, so a named signal and
+        # a plain numpy function of the same formula agree bit for bit
+        plain = {
+            Sinusoid: lambda t: 15.0 * np.sin(2.5 * t + 1.0),
+            Constant: lambda t: np.full_like(t, 15.0),
+        }[type(drive)]
         grid = TimeGrid.from_horizon(5.0, 1e-3)
         u, y = simulate_plant(PlantSpec(a=-0.4, b=0.4, y0=0.3, input=drive), grid)
-        u_ref, y_ref = simulate_plant(
-            PlantSpec(a=-0.4, b=0.4, y0=0.3, input=lambda t: drive(t)), grid
-        )
+        u_ref, y_ref = simulate_plant(PlantSpec(a=-0.4, b=0.4, y0=0.3, input=plain), grid)
         np.testing.assert_array_equal(u.values, u_ref.values)
         np.testing.assert_array_equal(y.values, y_ref.values)
 
@@ -227,17 +229,15 @@ class TestIdentificationScenario:
 
 class TestFtcScenario:
     def test_schedule_matches_profile(self, pe_run):
-        # the study's errors are its estimates less the sampled schedule
-        truth = sample_schedule(tracking_schedule(), pe_run.grid).values
+        # the study's errors are its estimates less the sampled truth
+        truth = _tracking_truth(pe_run.grid.times())[:, None]
         gradient = pe_run.runs["gradient"]
         np.testing.assert_array_equal(
             gradient.theta_tilde.values, gradient.theta_hat.values - truth
         )
-        vals = truth[:, 0]
-        k5, k25, k35 = [int(round(x / 1e-3)) for x in (5.0, 25.0, 35.0)]
-        assert vals[k5] == 10.0
-        assert vals[k25] == pytest.approx(12.5)
-        assert vals[k35] == 10.0
+        # each jump takes its new value at its own time (right-continuous)
+        t = np.array([9.999, 10.0, 20.0, 25.0, 30.0, 35.0])
+        np.testing.assert_array_equal(_tracking_truth(t), [10.0, 15.0, 15.0, 12.5, 10.0, 10.0])
 
     def test_early_finite_time_convergence(self, pe_run):
         t = pe_run.grid.times()
