@@ -52,7 +52,7 @@ from .scenarios import (
     run_ftc_scenario,
     run_identification_scenario,
 )
-from .signals import DEFAULT_CT_STEP, DEFAULT_DT_STEP, TimeGrid, Trajectory
+from .signals import DEFAULT_CT_STEP, DEFAULT_DT_STEP, TimeGrid, Trajectory, whole_steps
 
 ENV_OUT_DIR = "DREMKIT_OUT_DIR"
 # figure id: (study fields, horizon in s, rows kept as (start, stop) or None)
@@ -239,12 +239,15 @@ def parse_bank(cfg: dict) -> OperatorBank:
 
 def _check_steps(horizon: float, step: float, label: str) -> None:
     """A grid whose number of steps, ``horizon / step``, overflows has no
-    sample count, and one with more than ``MAX_SAMPLES`` samples is refused.
-    ``label`` names the grid's section."""
+    sample count, and one whose horizon is not a whole number of steps or
+    that has more than ``MAX_SAMPLES`` samples is refused, as
+    ``TimeGrid.from_horizon`` would. ``label`` names the grid's section."""
     steps = horizon / step
     ratio = f"{label}.horizon / {label}.step = {horizon!r} / {step!r}"
     if not np.isfinite(steps):
         raise _fail(f"{label}.step", f"{ratio} overflows the sample count")
+    if whole_steps(horizon, step) is None:
+        raise _fail(f"{label}.horizon", f"{horizon!r} is not a whole number of steps of {step!r} s")
     if round(steps) + 1 > MAX_SAMPLES:  # the count TimeGrid.from_horizon takes
         raise _fail(f"{label}.horizon", f"{ratio} gives more than {MAX_SAMPLES} samples")
 

@@ -31,7 +31,7 @@ from .ftc import FtcRun
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_energy
-from .signals import Trajectory, require_positive
+from .signals import Trajectory, check_records, require_positive
 
 # samples per block of drem_dt's sequential recursion; bounds the Python
 # floats alive at once
@@ -86,16 +86,15 @@ class EstimatorRun:
     recovery: FtcRun | None = None
 
 
-def _error_trajectory(theta_hat: Trajectory, theta_true) -> Trajectory | None:
+def _error_trajectory(name: str, theta_hat: Trajectory, theta_true) -> Trajectory | None:
+    """theta_hat - theta_true, or None without a truth. A truth record keeps
+    the record contract with the estimate of the estimator ``name``."""
+    if isinstance(theta_true, Trajectory):
+        check_records(name, theta_hat=(theta_hat, "vector"), theta_true=(theta_true, "vector"))
+        theta_true = theta_true.values
     if theta_true is None:
         return None
-    if isinstance(theta_true, Trajectory):
-        if theta_true.grid != theta_hat.grid:
-            raise ValueError("theta_true trajectory lives on a different grid")
-        truth = theta_true.values
-    else:
-        truth = np.atleast_1d(np.asarray(theta_true, dtype=float))
-    return theta_hat.with_values(theta_hat.values - truth)
+    return theta_hat.with_values(theta_hat.values - np.asarray(theta_true, dtype=float))
 
 
 def _blocks(count: int):
@@ -111,10 +110,7 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
 def _vector_gain(y: Trajectory, phi: Trajectory, cfg: GradientConfig, kind: str) -> float:
     """The single gain of a vector estimator on scalar ``y`` and vector ``phi``
     of ``kind`` on one grid."""
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError(f"{kind}_gradient expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != kind or phi.kind != kind:
-        raise ValueError(f"signals must be {kind.upper()} on one grid")
+    check_records(f"{kind}_gradient", kind, y=(y, "scalar"), phi=(phi, "vector"))
     gamma = cfg.gains(phi.dim)
     if not np.all(gamma == gamma[0]):
         raise ValueError("the vector estimator uses a single gain")
@@ -146,7 +142,7 @@ def ct_gradient(
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, y.grid.step), cfg.initial(m))
     hat = Trajectory(y.grid, th, "ct")
     diag = Trajectory(y.grid, np.einsum("ki,ki->k", pv, pv), "ct")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag, "phi_norm_sq")
+    return EstimatorRun(hat, _error_trajectory("ct_gradient", hat, theta_true), diag, "phi_norm_sq")
 
 
 def dt_gradient(
@@ -175,7 +171,7 @@ def dt_gradient(
     th = affine_scan(a, b, cfg.initial(m))
     hat = Trajectory(y.grid, th, "dt")
     diag = Trajectory(y.grid, pp, "dt")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), diag, "phi_norm_sq")
+    return EstimatorRun(hat, _error_trajectory("dt_gradient", hat, theta_true), diag, "phi_norm_sq")
 
 
 def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> EstimatorRun:
@@ -185,11 +181,9 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
 
     one independent RK4 integration per component (elementwise step maps).
     """
-    if mixed.calY.kind != "ct":
-        raise ValueError("drem_ct expects CT mixed data")
+    grid = check_records("drem_ct", "ct", calY=(mixed.calY, "vector"))
     m = mixed.dim
     gamma = cfg.gains(m)
-    grid = mixed.calY.grid
     D, Yc = mixed.Delta.values, mixed.calY.values
     _require_finite("drem_ct", Delta=D, calY=Yc)
 
@@ -202,7 +196,7 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
         (L0, f0), (Lm, fm), (L1, f1) = stage(D[:-1], Yc[:-1]), stage(Dm, Ym), stage(D[1:], Yc[1:])
     th = affine_scan(*rk4_affine(L0, Lm, L1, f0, fm, f1, grid.step), cfg.initial(m))
     hat = Trajectory(grid, th, "ct")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta, "delta")
+    return EstimatorRun(hat, _error_trajectory("drem_ct", hat, theta_true), mixed.Delta, "delta")
 
 
 def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> EstimatorRun:
@@ -214,11 +208,9 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
 
     run exactly for k >= 1.
     """
-    if mixed.calY.kind != "dt":
-        raise ValueError("drem_dt expects DT mixed data")
+    grid = check_records("drem_dt", "dt", calY=(mixed.calY, "vector"))
     m = mixed.dim
     gamma = cfg.gains(m)
-    grid = mixed.calY.grid
     D, Yc = mixed.Delta.values, mixed.calY.values
     _require_finite("drem_dt", Delta=D, calY=Yc)
     with np.errstate(over="ignore"):
@@ -238,7 +230,7 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
                 lane.append(x)
             th[start:stop, i] = lane
     hat = Trajectory(grid, th, "dt")
-    return EstimatorRun(hat, _error_trajectory(hat, theta_true), mixed.Delta, "delta")
+    return EstimatorRun(hat, _error_trajectory("drem_dt", hat, theta_true), mixed.Delta, "delta")
 
 
 def closed_form_error_ct(
@@ -246,8 +238,7 @@ def closed_form_error_ct(
 ) -> Trajectory:
     """Error envelope exp(-gamma * int_0^t Delta^2) * err0 on the grid, with
     the integral from :func:`dremkit.quadrature.cumulative_energy`."""
-    if not delta.is_scalar or delta.kind != "ct":
-        raise ValueError("closed_form_error_ct expects a scalar CT Delta")
+    check_records("closed_form_error_ct", "ct", delta=(delta, "scalar"))
     require_positive(gamma, "gamma")
     energy = cumulative_energy(delta).values
     return Trajectory(delta.grid, np.exp(-gamma * energy) * theta_tilde0, "ct")
@@ -261,8 +252,7 @@ def closed_form_error_dt(
     Raises ``FloatingPointError`` when Delta is not finite or Delta^2
     overflows, as :func:`drem_dt` does.
     """
-    if not delta.is_scalar or delta.kind != "dt":
-        raise ValueError("closed_form_error_dt expects a scalar DT Delta")
+    check_records("closed_form_error_dt", "dt", delta=(delta, "scalar"))
     require_positive(gamma, "gamma")
     _require_finite("closed_form_error_dt", Delta=delta.values)
     with np.errstate(over="ignore"):

@@ -27,7 +27,7 @@ from .quadrature import (
     lagged_difference,
     window_steps,
 )
-from .signals import Trajectory
+from .signals import Trajectory, check_records
 
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_DT_HORIZON = 100_000
@@ -46,8 +46,6 @@ class PeReport:
 
 
 def _as_vector_values(phi: Trajectory) -> np.ndarray:
-    if not (phi.is_scalar or phi.is_vector):
-        raise ValueError("phi must be a scalar or vector trajectory")
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("phi has non-finite samples")
     return phi.values[:, None] if phi.is_scalar else phi.values
@@ -93,8 +91,7 @@ def pe_check_ct(
 ) -> PeReport:
     """Scan every admissible start of a length-``window`` Gramian (Simpson
     quadrature) and report the worst smallest eigenvalue."""
-    if phi.kind != "ct":
-        raise ValueError("pe_check_ct expects a CT trajectory")
+    check_records("pe_check_ct", "ct", phi=(phi, "scalar or vector"))
     vals = _as_vector_values(phi)
     lag = window_steps(window, phi.grid.step, "window")
     if phi.grid.horizon < 2 * window:
@@ -118,8 +115,7 @@ def _pe_scan_dt(phi: Trajectory, windows, threshold: float):
     S_K = S_{K-1}[:-1] + outer[K:], added in place, so a sweep up to Kmax
     costs O(N Kmax) and holds one window's sums at a time.
     """
-    if phi.kind != "dt":
-        raise ValueError("pe_check_dt expects a DT trajectory")
+    check_records("pe_check_dt", "dt", phi=(phi, "scalar or vector"))
     vals = _as_vector_values(phi)
     n, m = vals.shape
     windows = sorted({_whole_window(w) for w in windows})

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import cumulative_energy, lagged_difference, window_steps
-from .signals import Trajectory, require_positive
+from .signals import Trajectory, check_records, require_positive
 
 # below this window weight deficit the delayed identity divides by ~0 and the
 # sample is reported as inactive instead
@@ -77,10 +77,10 @@ class FtcRun:
     active: np.ndarray
 
 
-def _energy(delta: Trajectory, gamma: float) -> np.ndarray:
-    """gamma * int_0^t Delta^2 on the grid: minus the log of the weight."""
-    if not delta.is_scalar or delta.kind != "ct":
-        raise ValueError("expected a scalar CT trajectory")
+def _energy(name: str, delta: Trajectory, gamma: float, **records) -> np.ndarray:
+    """gamma * int_0^t Delta^2 on the grid: minus the log of the weight.
+    ``delta`` and any other ``records`` are checked for the stage ``name``."""
+    check_records(name, "ct", delta=(delta, "scalar"), **records)
     require_positive(gamma, "gamma")
     return gamma * cumulative_energy(delta).values
 
@@ -109,8 +109,6 @@ def _recover(
     ``ref`` is ``ref0``, or with a ``lag`` the snapshot theta_hat(t - lag),
     which is ``ref0`` while t < lag (signals vanish before time zero, so the
     estimate was at rest)."""
-    if theta_hat.grid != w.grid:
-        raise ValueError("theta_hat and the weight must share one grid")
     hat = theta_hat.values
     ref = np.broadcast_to(np.asarray(ref0, dtype=float), hat.shape)
     if lag is not None:
@@ -126,7 +124,7 @@ def update_w(delta: Trajectory, gamma: float) -> Trajectory:
     """Full-history weight w = exp(-gamma * int_0^t Delta^2), in (0, 1]; it can
     rise on a rough Delta, where Simpson's odd-index trapezoid outweighs the
     next pair (Delta = [3, 0, 0, 0, 0], h = 0.1, gamma = 1: w = 1, 0.638, 0.741)."""
-    return _weight(delta, _energy(delta, gamma))
+    return _weight(delta, _energy("update_w", delta, gamma))
 
 
 def clip_w(w: Trajectory, mu: float) -> Trajectory:
@@ -144,6 +142,8 @@ def ftc_estimate(
     Exact whenever theta_hat follows its error envelope: the weight then
     cancels the remaining transient sample for sample.
     """
+    estimate = (theta_hat, "scalar or vector")
+    check_records("ftc_estimate", "ct", theta_hat=estimate, w_clipped=(w_clipped, "scalar"))
     if np.any(w_clipped.values >= 1.0):
         raise ClipContractError("clipped weight reached 1; cannot invert 1 - w")
     every = np.ones(w_clipped.grid.count, dtype=bool)
@@ -154,7 +154,7 @@ def interval_excitation_time(
     delta: Trajectory, gamma: float, mu: float
 ) -> float | None:
     """First grid time where gamma * int_0^t Delta^2 >= -ln(mu), or None."""
-    return _activation(delta, _energy(delta, gamma), mu)
+    return _activation(delta, _energy("interval_excitation_time", delta, gamma), mu)
 
 
 def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:
@@ -164,7 +164,7 @@ def run_ftc(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> FtcRun:
     weight and the recovery formula applies, elsewhere the raw estimate is
     output. w can rise (see ``update_w``), so a sample after t_c may be inactive.
     """
-    energy = _energy(delta, cfg.gamma)
+    energy = _energy("run_ftc", delta, cfg.gamma, theta_hat=(theta_hat, "scalar or vector"))
     w = _weight(delta, energy)
     wc = clip_w(w, cfg.clip_threshold)
     active = w.values < cfg.clip_threshold
@@ -187,7 +187,7 @@ def run_ftc_alert(theta_hat: Trajectory, delta: Trajectory, cfg: FtcConfig) -> F
     relies on. Samples where the window carries essentially no excitation
     (1 - w_d below ``MIN_WINDOW_DEFICIT``) fall back to the raw estimate.
     """
-    energy = _energy(delta, cfg.gamma)
+    energy = _energy("run_ftc_alert", delta, cfg.gamma, theta_hat=(theta_hat, "scalar or vector"))
     lag = window_steps(cfg.delay_window, delta.grid.step, "delay_window")
     window = lagged_difference(energy, lag)
     wd = _weight(delta, window)

@@ -10,8 +10,9 @@ including singular ones, which is why it is computed by cofactors (m <= 4)
 or the Faddeev-LeVerrier recursion (m > 4) and never as inverse times
 determinant. Both run over the sample axis of a whole record at once: the
 cofactors from minors gathered with index tables, the recursion with
-stacked matrix products. The per-matrix :func:`adjugate` and
-:func:`determinant` are the same routine applied to a batch of one.
+stacked matrix products. The per-matrix :func:`adjugate`,
+:func:`determinant` and :func:`feedforward_gain` are the batched routines
+applied to a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import Trajectory
+from .signals import Trajectory, check_records
 
 
 def _square_dim(M: np.ndarray) -> int:
@@ -120,10 +121,7 @@ class MixedRegression:
     Delta: Trajectory
 
     def __post_init__(self) -> None:
-        if not self.calY.is_vector or not self.Delta.is_scalar:
-            raise ValueError("calY must be a vector trajectory and Delta scalar")
-        if self.calY.grid != self.Delta.grid or self.calY.kind != self.Delta.kind:
-            raise ValueError("calY and Delta must share one grid and kind")
+        check_records("MixedRegression", calY=(self.calY, "vector"), Delta=(self.Delta, "scalar"))
 
     @property
     def dim(self) -> int:
@@ -136,10 +134,7 @@ def mix(Y: Trajectory, Phi: Trajectory) -> MixedRegression:
     When Y = Phi theta holds exactly, each component satisfies
     calY_i = Delta * theta_i.
     """
-    if not Y.is_vector or not Phi.is_matrix:
-        raise ValueError("mix expects vector Y and matrix Phi")
-    if Y.grid != Phi.grid or Y.kind != Phi.kind:
-        raise ValueError("Y and Phi must share one grid and kind")
+    check_records("mix", Y=(Y, "vector"), Phi=(Phi, "matrix"))
     if Y.dim != Phi.values.shape[1]:
         raise ValueError("Y and Phi dimensions disagree")
     adj, det = _adj_det_batch(Phi.values)
@@ -148,6 +143,13 @@ def mix(Y: Trajectory, Phi: Trajectory) -> MixedRegression:
         calY=Trajectory(Y.grid, calY, Y.kind),
         Delta=Trajectory(Y.grid, det, Y.kind),
     )
+
+
+def _feedforward_gains(Phi0: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d = adj(Phi0)^T phi for each sample of a stack ``(count, m, m)`` and
+    ``(count, m)``."""
+    adj, _ = _adj_det_batch(Phi0)
+    return np.einsum("kji,kj->ki", adj, phi)
 
 
 def feedforward_gain(Phi0: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -166,7 +168,7 @@ def feedforward_gain(Phi0: np.ndarray, phi: np.ndarray) -> np.ndarray:
     m = _square_dim(Phi0)
     if phi.shape != (m,):
         raise ValueError(f"phi must have shape ({m},)")
-    return adjugate(Phi0).T @ phi
+    return _feedforward_gains(Phi0[None], phi[None])[0]
 
 
 def extend_with_feedforward(
@@ -186,8 +188,7 @@ def extend_with_feedforward(
         if not ch.has_zero_feedthrough():
             raise ValueError("bank0 must have zero feedthrough on every channel")
     Y0, Phi0 = extend(bank0, y, phi)
-    adj, _ = _adj_det_batch(Phi0.values)
-    d = np.einsum("kji,kj->ki", adj, phi.values)  # adj^T phi per sample
+    d = _feedforward_gains(Phi0.values, phi.values)
     Phi = Phi0.values + np.einsum("ki,kj->kij", d, phi.values)
     Yv = Y0.values + d * y.values[:, None]
     return Trajectory(y.grid, Yv, y.kind), Trajectory(y.grid, Phi, y.kind)

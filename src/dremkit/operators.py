@@ -34,19 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import affine_scan, rk4_affine
-from .signals import SignalKind, TimeGrid, Trajectory
+from .signals import SignalKind, TimeGrid, Trajectory, check_records, sample_values, whole_steps
 
 Coefficient = float | Sequence | np.ndarray | Callable
-
-
-def _coefficient_table(value: Coefficient, args: np.ndarray, shape: tuple) -> np.ndarray:
-    """Evaluate a constant or callable coefficient at every sample argument:
-    a callable is called once, on the whole array ``args``."""
-    n = len(args)
-    if callable(value):
-        return np.asarray(value(args), dtype=float).reshape((n,) + shape)
-    const = np.asarray(value, dtype=float).reshape(shape)
-    return np.broadcast_to(const, (n,) + shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +44,10 @@ class LtvChannelSpec:
     """One SISO extension channel.
 
     ``A``, ``b``, ``c``, ``d`` and ``delay_gain`` may be constants or
-    callables. A callable is called once per record, on the array of every
-    sample's argument (times in seconds for CT channels, sample indices for
-    DT ones), and returns one value per entry along a leading axis.
+    callables, read by :func:`dremkit.signals.sample_values`: a callable is
+    called once per record, on the array of every sample's argument (times
+    in seconds for CT channels, sample indices for DT ones), and returns one
+    value per entry along a leading axis.
     ``delay`` is in seconds for CT channels and in whole steps for DT
     channels; a CT delay must be a whole number of grid steps.
     ``n = 0`` is a static channel: feedthrough and the delay tap. Stability
@@ -164,10 +155,10 @@ class KreSpec:
 
 def _delay_steps(delay: float, step: float) -> int:
     """A CT delay in grid steps; ValueError unless it is a whole number of them."""
-    lag = int(round(delay / step))
-    if abs(delay - lag * step) > 1e-9 * max(step, abs(delay), 1e-300):
+    lag = whole_steps(delay, step)
+    if lag is None:
         raise ValueError(f"delay {delay!r} is not a whole number of grid steps of {step!r} s")
-    return max(lag, 0)
+    return lag
 
 
 def _delayed_input(u: np.ndarray, lag: int) -> np.ndarray:
@@ -179,28 +170,32 @@ def _delayed_input(u: np.ndarray, lag: int) -> np.ndarray:
     return out
 
 
-def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray) -> np.ndarray:
+def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray, index: int) -> np.ndarray:
     """Channel output for every column of ``U`` (shape ``(count, c)``).
 
-    The coefficients are tabulated once for all columns. The state advances
-    by one affine map per step, composed by :func:`affine_scan`: the
-    held-coefficient RK4 map for a CT channel, the exact map
-    ``(A(k), b(k) u(k))`` for a DT one. The c columns are stacked as state
-    columns ``(n, c)`` under the same maps, so one scan serves them all.
+    The coefficients are tabulated once for all columns; ``index``, the
+    channel's place in its bank, names it in the error raised for a callable
+    that breaks the array contract. The state advances by one affine map per
+    step, composed by :func:`affine_scan`: the held-coefficient RK4 map for
+    a CT channel, the exact map ``(A(k), b(k) u(k))`` for a DT one. The c
+    columns are stacked as state columns ``(n, c)`` under the same maps, so
+    one scan serves them all.
     """
     if spec.kind == "ct":
         args, lag = grid.times(), _delay_steps(spec.delay, grid.step)
     else:
         args, lag = np.arange(grid.count), int(spec.delay)
-    d = _coefficient_table(spec.d, args, (1,))
-    mu = _coefficient_table(spec.delay_gain, args, (1,))
-    Z = d * U + mu * _delayed_input(U, lag)
+
+    def table(coef: str, shape: tuple) -> np.ndarray:
+        return sample_values(getattr(spec, coef), args, shape, f"{coef} of channel {index}")
+
+    Z = table("d", (1,)) * U + table("delay_gain", (1,)) * _delayed_input(U, lag)
     if spec.n == 0:
         return Z
 
-    A = _coefficient_table(spec.A, args, (spec.n, spec.n))[:-1]
-    b = _coefficient_table(spec.b, args, (spec.n,))[:-1]
-    c = _coefficient_table(spec.c, args, (spec.n,))
+    A = table("A", (spec.n, spec.n))[:-1]
+    b = table("b", (spec.n,))[:-1]
+    c = table("c", (spec.n,))
     # time-innermost tables, so the step-map products and the scan run long inner loops
     A, b, U = (np.asfortranarray(v) for v in (A, b, U))
     force = b[:, :, None] * U[:-1, None, :]
@@ -220,17 +215,12 @@ def extend(bank: OperatorBank, y: Trajectory, phi: Trajectory) -> tuple[Trajecto
     y = phi.theta holds sample-wise the output satisfies Y = Phi theta up to
     channel transients. Each channel runs once over the columns ``[y | phi]``.
     """
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError("extend expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != phi.kind:
-        raise ValueError("y and phi must share one grid and kind")
-    if bank.kind != y.kind:
-        raise ValueError("bank kind does not match the signals")
+    grid = check_records("extend", bank.kind, y=(y, "scalar"), phi=(phi, "vector"))
     m = phi.dim
     if bank.m != m:
         raise ValueError(f"bank has {bank.m} channels but phi has dimension {m}")
     U = np.column_stack([y.values, phi.values])
-    Z = np.stack([_run_channel(ch, y.grid, U) for ch in bank.channels], axis=1)
+    Z = np.stack([_run_channel(ch, grid, U, i) for i, ch in enumerate(bank.channels)], axis=1)
     return y.with_values(Z[:, :, 0]), y.with_values(Z[:, :, 1:])
 
 
@@ -246,14 +236,11 @@ def sliding_window_phi(
     accumulated in ascending j so the result matches a per-sample loop
     bit for bit.
     """
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError("sliding_window_phi expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != phi.kind or y.kind != "dt":
-        raise ValueError("signals must be DT and share one grid")
+    grid = check_records("sliding_window_phi", "dt", y=(y, "scalar"), phi=(phi, "vector"))
     m = phi.dim
     if spec.window < m:
         raise ValueError(f"window {spec.window} must be at least the dimension {m}")
-    count = y.grid.count
+    count = grid.count
     outer = np.einsum("ki,kj->kij", phi.values, phi.values)
     weighted = phi.values * y.values[:, None]
     Phi = np.zeros((count, m, m))
@@ -263,7 +250,7 @@ def sliding_window_phi(
             break
         Phi[j:] += outer[:-j]
         Y[j:] += weighted[:-j]
-    return Trajectory(y.grid, Y, "dt"), Trajectory(y.grid, Phi, "dt")
+    return Trajectory(grid, Y, "dt"), Trajectory(grid, Phi, "dt")
 
 
 def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, Trajectory]:
@@ -274,11 +261,7 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
     by the same held-coefficient RK4 step maps used for channel banks, as
     one scan over the flattened Omega and Z entries.
     """
-    if not y.is_scalar or not phi.is_vector:
-        raise ValueError("kre_ct expects scalar y and vector phi")
-    if y.grid != phi.grid or y.kind != "ct" or phi.kind != "ct":
-        raise ValueError("signals must be CT and share one grid")
-    grid = y.grid
+    grid = check_records("kre_ct", "ct", y=(y, "scalar"), phi=(phi, "vector"))
     h = grid.step
     m = phi.dim
     pole = spec.pole
@@ -316,11 +299,9 @@ class _SampledColumn:
 def kre_as_drem_bank(phi: Trajectory, pole: float) -> OperatorBank:
     """Channel bank whose :func:`extend` output reproduces :func:`kre_ct`:
     channel i is the first-order filter x' = -pole*x + phi_i(t)*u, z = x."""
-    if not phi.is_vector or phi.kind != "ct":
-        raise ValueError("kre_as_drem_bank expects a CT vector phi")
+    grid = check_records("kre_as_drem_bank", "ct", phi=(phi, "vector"))
     if not pole > 0:
         raise ValueError("pole must be positive")
-    grid = phi.grid
     channels = tuple(
         LtvChannelSpec(
             n=1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import Trajectory
+from .signals import Trajectory, check_records, whole_steps
 
 
 def cumulative_simpson(samples: np.ndarray, step: float) -> np.ndarray:
@@ -44,8 +44,7 @@ def cumulative_energy(delta: Trajectory) -> Trajectory:
     Raises ``FloatingPointError`` when Delta is not finite, or when Delta^2
     or its integral overflows.
     """
-    if not delta.is_scalar:
-        raise ValueError("cumulative_energy expects a scalar trajectory")
+    check_records("cumulative_energy", delta=(delta, "scalar"))
     with np.errstate(over="ignore", invalid="ignore"):
         sq = delta.values * delta.values
         if delta.kind == "ct":
@@ -63,9 +62,8 @@ def cumulative_energy(delta: Trajectory) -> Trajectory:
 def window_steps(window: float, step: float, field: str) -> int:
     """Number of grid steps in ``window`` seconds; ``field`` names the window
     in the error raised when it is not a positive grid multiple."""
-    ratio = window / step
-    lag = int(round(ratio)) if np.isfinite(ratio) else 0
-    if lag < 1 or abs(window - lag * step) > 1e-9 * max(step, window):
+    lag = whole_steps(window, step)
+    if lag is None or lag < 1:
         raise ValueError(f"{field} must be a positive grid multiple")
     return lag
 

@@ -30,7 +30,14 @@ from .ftc import FtcConfig, FtcRun, run_ftc, run_ftc_alert
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression, extend_with_feedforward, mix
 from .operators import LtvChannelSpec, OperatorBank, extend
-from .signals import DEFAULT_CT_STEP, TimeGrid, Trajectory, require_positive
+from .signals import (
+    DEFAULT_CT_STEP,
+    TimeGrid,
+    Trajectory,
+    check_records,
+    require_positive,
+    sample_values,
+)
 
 CONVERGENCE_TOL = 0.01
 TRACKING_FTC = FtcConfig(gamma=2.0)  # the tracking study's recovery and estimator gain
@@ -88,8 +95,8 @@ def simulate_plant(spec: PlantSpec, grid: TimeGrid) -> tuple[Trajectory, Traject
     """RK4 simulation with the input evaluated analytically at half steps."""
     h = grid.step
     times = grid.times()
-    u = spec.input(times)
-    um = spec.input(times[:-1] + 0.5 * h)
+    u = sample_values(spec.input, times, (), "plant.input")
+    um = sample_values(spec.input, times[:-1] + 0.5 * h, (), "plant.input")
     a, b = spec.a, spec.b
     y = affine_scan(*rk4_affine(a, a, a, b * u[:-1], b * um, b * u[1:], h), spec.y0)
     return Trajectory(grid, u, "ct"), Trajectory(grid, y, "ct")
@@ -104,9 +111,7 @@ def build_regressor(
     sampled drive, which keeps the residual y - phi.theta at discretization
     level rather than inheriting a half-step bias.
     """
-    if u.grid != y.grid or u.kind != "ct" or y.kind != "ct":
-        raise ValueError("u and y must be CT signals on one grid")
-    grid = u.grid
+    grid = check_records("build_regressor", "ct", u=(u, "scalar"), y=(y, "scalar"))
     pole = reg.pole
     drives = np.stack([y.values, u.values], axis=1)
     mids = 0.5 * (drives[:-1] + drives[1:])

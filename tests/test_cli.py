@@ -574,7 +574,7 @@ class TestSimulate:
              "'signal.horizon': expected a number"),
             # a recovery window off the grid, given or the default one
             ("simulate", edited(FTC_CFG, ftc=dict(FTC_CFG["ftc"], delay_window=0.2005)), "'ftc.delay_window'"),
-            ("simulate", edited(FTC_CFG, grid={"step": 0.03, "horizon": 1.0}, ftc={}), "'ftc.delay_window'"),
+            ("simulate", edited(FTC_CFG, grid={"step": 0.03, "horizon": 0.99}, ftc={}), "'ftc.delay_window'"),
             # the identification study fits 2 parameters from CT signals
             ("simulate", edited(CUSTOM_CFG, bank={"channels": CUSTOM_CFG["bank"]["channels"] * 2}),
              "'bank.channels': expected 2 channels, one per parameter, got 4"),
@@ -594,6 +594,13 @@ class TestSimulate:
                 {"n": 1, "A": -1.0, "b": 1.0, "c": 1.0, "mu": 0.5, "delay": 0.0505},
                 CUSTOM_CFG["bank"]["channels"][1]]}),
              "'bank.channels[0].delay': delay 0.0505 is not a whole number of grid steps"),
+            # a horizon off the grid; its runs would end a step short of it
+            ("simulate", {"mode": "ftc", "delta_kind": "pe", "grid": {"step": 0.003, "horizon": 1.0},
+                          "ftc": {"delay_window": 0.3}}, "'grid.horizon'"),
+            ("check-pe", {"signal": {"kind": "zero", "step": 0.03, "horizon": 1.0}, "window": 0.3},
+             "'signal.horizon'"),
+            ("check-pe", {"signal": {"kind": "sinusoid-pair", "horizon": 10.0}, "window": 2 * np.pi},
+             "'signal.horizon'"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):

@@ -11,7 +11,7 @@ from dremkit.estimators import (
     drem_dt,
     dt_gradient,
 )
-from dremkit.ftc import FtcConfig, _energy
+from dremkit.ftc import FtcConfig, update_w
 from dremkit.mixing import MixedRegression
 from dremkit.scenarios import RegressorSpec, run_ftc_scenario
 from dremkit.signals import TimeGrid, Trajectory
@@ -64,7 +64,7 @@ class TestConfig:
             lambda g: RegressorSpec(pole=g),
             lambda g: closed_form_error_ct(ct_scalar(np.ones(5)), g, 1.0),
             lambda g: closed_form_error_dt(dt_scalar(np.ones(5)), g, 1.0),
-            lambda g: _energy(ct_scalar(np.ones(5)), g),
+            lambda g: update_w(ct_scalar(np.ones(5)), g),
         ],
         ids=["gradient", "gradient-vector", "ftc", "ftc-window", "pole", "envelope-ct",
              "envelope-dt", "ftc-energy"],

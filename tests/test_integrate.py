@@ -26,7 +26,6 @@ from dremkit.operators import (
     KreSpec,
     LtvChannelSpec,
     OperatorBank,
-    _coefficient_table,
     _delay_steps,
     _delayed_input,
     extend,
@@ -39,7 +38,7 @@ from dremkit.scenarios import (
     build_regressor,
     simulate_plant,
 )
-from dremkit.signals import TimeGrid, Trajectory
+from dremkit.signals import TimeGrid, Trajectory, sample_values
 
 REL_TOL = 1e-12
 # "columns" is a matrix map over c stacked state columns, b of shape (N, n, c)
@@ -385,11 +384,11 @@ def old_apply_channel_ct(spec, u):
     times = grid.times()
     uv = u.values
     u_del = _delayed_input(uv, _delay_steps(spec.delay, h))
-    z = _coefficient_table(spec.d, times, ()) * uv
-    z = z + _coefficient_table(spec.delay_gain, times, ()) * u_del
-    A_tab = _coefficient_table(spec.A, times, (spec.n, spec.n))
-    b_tab = _coefficient_table(spec.b, times, (spec.n,))
-    c_tab = _coefficient_table(spec.c, times, (spec.n,))
+    z = sample_values(spec.d, times, (), "d") * uv
+    z = z + sample_values(spec.delay_gain, times, (), "delay_gain") * u_del
+    A_tab = sample_values(spec.A, times, (spec.n, spec.n), "A")
+    b_tab = sample_values(spec.b, times, (spec.n,), "b")
+    c_tab = sample_values(spec.c, times, (spec.n,), "c")
     x = spec.x0.copy()
     xs = np.empty((grid.count, spec.n))
     xs[0] = x

@@ -8,7 +8,6 @@ from dremkit.operators import (
     LtvChannelSpec,
     OperatorBank,
     SlidingWindowSpec,
-    _coefficient_table,
     _delay_steps,
     _delayed_input,
     extend,
@@ -18,7 +17,7 @@ from dremkit.operators import (
 )
 from dremkit.integrate import affine_scan, rk4_affine
 from dremkit.scenarios import Constant, Sinusoid
-from dremkit.signals import TimeGrid, Trajectory
+from dremkit.signals import TimeGrid, Trajectory, sample_values
 
 
 def ct_traj(values, step=1e-3, t0=0.0):
@@ -349,14 +348,14 @@ class TestArrayEvaluatedCoefficients:
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
     def test_named_signal_table(self, signal, shape):
         times = TimeGrid.from_horizon(20.0, 1e-3).times()
-        table = _coefficient_table(signal, times, shape)
+        table = sample_values(signal, times, shape, "signal")
         assert table.shape == (len(times),) + shape
         np.testing.assert_array_equal(table.reshape(-1), [signal(t) for t in times])
 
     def test_named_signal_of_the_sample_index(self):
         ks = np.arange(500)
         signal = Sinusoid(1.5, 0.3, -0.2)
-        np.testing.assert_array_equal(_coefficient_table(signal, ks, ()), [signal(k) for k in ks])
+        np.testing.assert_array_equal(sample_values(signal, ks, (), "signal"), [signal(k) for k in ks])
 
 
 # Tests-only copies of the earlier per-kind channel bodies and of the
@@ -369,14 +368,14 @@ def reference_apply_channel_ct(spec, u):
     times = grid.times()
     uv = u.values
     u_del = _delayed_input(uv, _delay_steps(spec.delay, h))
-    d_tab = _coefficient_table(spec.d, times, ())
-    mu_tab = _coefficient_table(spec.delay_gain, times, ())
+    d_tab = sample_values(spec.d, times, (), "d")
+    mu_tab = sample_values(spec.delay_gain, times, (), "delay_gain")
     z = d_tab * uv + mu_tab * u_del
     if spec.n == 0:
         return Trajectory(grid, z, "ct")
-    A_tab = _coefficient_table(spec.A, times, (spec.n, spec.n))
-    b_tab = _coefficient_table(spec.b, times, (spec.n,))
-    c_tab = _coefficient_table(spec.c, times, (spec.n,))
+    A_tab = sample_values(spec.A, times, (spec.n, spec.n), "A")
+    b_tab = sample_values(spec.b, times, (spec.n,), "b")
+    c_tab = sample_values(spec.c, times, (spec.n,), "c")
     if spec.n == 1:
         A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], spec.x0[0]
     else:
@@ -391,14 +390,14 @@ def reference_apply_channel_dt(spec, u):
     ks = np.arange(grid.count)
     uv = u.values
     u_del = _delayed_input(uv, int(round(spec.delay)))
-    d_tab = _coefficient_table(spec.d, ks, ())
-    mu_tab = _coefficient_table(spec.delay_gain, ks, ())
+    d_tab = sample_values(spec.d, ks, (), "d")
+    mu_tab = sample_values(spec.delay_gain, ks, (), "delay_gain")
     z = d_tab * uv + mu_tab * u_del
     if spec.n == 0:
         return Trajectory(grid, z, "dt")
-    A_tab = _coefficient_table(spec.A, ks, (spec.n, spec.n))
-    b_tab = _coefficient_table(spec.b, ks, (spec.n,))
-    c_tab = _coefficient_table(spec.c, ks, (spec.n,))
+    A_tab = sample_values(spec.A, ks, (spec.n, spec.n), "A")
+    b_tab = sample_values(spec.b, ks, (spec.n,), "b")
+    c_tab = sample_values(spec.c, ks, (spec.n,), "c")
     x = spec.x0.copy()
     xs = np.empty((grid.count, spec.n))
     xs[0] = x
