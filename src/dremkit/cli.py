@@ -97,13 +97,16 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict | None:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool (nor a numeric string)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, field: str) -> float:
-    if isinstance(value, bool):
+    if not _is_number(value):
         raise _fail(field, f"expected a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise _fail(field, f"expected a number, got {value!r}") from None
     except OverflowError:  # a JSON integer beyond the range of a double
         raise _fail(field, "expected a number, got an integer too large for a double") from None
     if not np.isfinite(number):
@@ -112,14 +115,13 @@ def _number(value, field: str) -> float:
 
 
 def _numbers(value, field: str) -> np.ndarray:
+    # a ragged list has a list among its leaves
+    if not all(map(_is_number, np.asarray(value, dtype=object).ravel())):
+        raise _fail(field, f"expected a list of numbers, got {value!r}")
     try:
         numbers = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise _fail(field, f"expected a list of numbers, got {value!r}") from None
     except OverflowError:
         raise _fail(field, "expected numbers, got an integer too large for a double") from None
-    if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).ravel()):
-        raise _fail(field, f"expected a list of numbers, got {value!r}")
     if not np.isfinite(numbers).all():
         raise _fail(field, f"expected finite numbers, got {value!r}")
     return numbers

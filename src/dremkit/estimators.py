@@ -9,9 +9,11 @@ gradient is linear in the estimate too, and its exact step maps go through
 the same scan. Only ``drem_dt`` stays a sequential recursion over Python
 floats, one bounded block at a time, because c07's exact monotonicity and
 c06's DT 1e-12 envelope depend on its order of summation. Non-finite data
-raise ``FloatingPointError`` naming the signal, as does a DT |phi|^2 or
-Delta^2 that overflows; overflow while building the CT step maps reaches
-the scan's non-finite check. The closed-form error envelopes
+are refused by the record contract (:func:`dremkit.signals.check_records`),
+whose ``FloatingPointError`` names the stage and the signal; a DT |phi|^2
+or Delta^2 that overflows raises the same way, and overflow while building
+the CT step maps reaches the scan's non-finite check. The closed-form error
+envelopes
 
     CT:  err(t) = exp(-gamma * int_0^t Delta^2) * err(0)
     DT:  err(k) = prod_{j=1..k} [1 / (1 + Delta(j)^2 / gamma)] * err(0)
@@ -31,7 +33,7 @@ from .ftc import FtcRun
 from .integrate import affine_scan, rk4_affine
 from .mixing import MixedRegression
 from .quadrature import cumulative_energy
-from .signals import Trajectory, check_records, require_positive
+from .signals import Trajectory, check_records, require_finite, require_positive
 
 # samples per block of drem_dt's sequential recursion; bounds the Python
 # floats alive at once
@@ -88,13 +90,16 @@ class EstimatorRun:
 
 def _error_trajectory(name: str, theta_hat: Trajectory, theta_true) -> Trajectory | None:
     """theta_hat - theta_true, or None without a truth. A truth record keeps
-    the record contract with the estimate of the estimator ``name``."""
+    the record contract with the estimate of the estimator ``name``, and a
+    truth array must be finite too."""
     if isinstance(theta_true, Trajectory):
         check_records(name, theta_hat=(theta_hat, "vector"), theta_true=(theta_true, "vector"))
         theta_true = theta_true.values
     if theta_true is None:
         return None
-    return theta_hat.with_values(theta_hat.values - np.asarray(theta_true, dtype=float))
+    theta_true = np.asarray(theta_true, dtype=float)
+    require_finite(name, theta_true=theta_true)
+    return theta_hat.with_values(theta_hat.values - theta_true)
 
 
 def _blocks(count: int):
@@ -117,12 +122,6 @@ def _vector_gain(y: Trajectory, phi: Trajectory, cfg: GradientConfig, kind: str)
     return gamma[0]
 
 
-def _require_finite(name: str, **signals: np.ndarray) -> None:
-    for label, values in signals.items():
-        if not np.isfinite(values).all():
-            raise FloatingPointError(f"{name}: non-finite {label} samples")
-
-
 def ct_gradient(
     y: Trajectory, phi: Trajectory, cfg: GradientConfig, theta_true=None
 ) -> EstimatorRun:
@@ -130,7 +129,6 @@ def ct_gradient(
     g = _vector_gain(y, phi, cfg, "ct")
     m = phi.dim
     pv, yv = phi.values, y.values
-    _require_finite("ct_gradient", y=yv, phi=pv)
 
     # theta_hat' = L theta_hat + f with L = -g phi phi^T and f = g phi y
     def stage(p, yy):
@@ -158,7 +156,6 @@ def dt_gradient(
     g = _vector_gain(y, phi, cfg, "dt")
     m = phi.dim
     pv, yv = phi.values, y.values
-    _require_finite("dt_gradient", y=yv, phi=pv)
 
     # theta_hat(k) = (I - g(k) phi(k)^T) theta_hat(k-1) + g(k) y(k) for k >= 1
     # |phi|^2 is checked below, and affine_scan raises on any other overflow
@@ -167,7 +164,7 @@ def dt_gradient(
         gain = pv[1:] / (g + pp[1:])[:, None]
         a = np.eye(m) - np.einsum("ki,kj->kij", gain, pv[1:])
         b = gain * yv[1:, None]
-    _require_finite("dt_gradient", **{"|phi|^2": pp})
+    require_finite("dt_gradient", **{"|phi|^2": pp})
     th = affine_scan(a, b, cfg.initial(m))
     hat = Trajectory(y.grid, th, "dt")
     diag = Trajectory(y.grid, pp, "dt")
@@ -181,11 +178,12 @@ def drem_ct(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
 
     one independent RK4 integration per component (elementwise step maps).
     """
-    grid = check_records("drem_ct", "ct", calY=(mixed.calY, "vector"))
+    grid = check_records(
+        "drem_ct", "ct", Delta=(mixed.Delta, "scalar"), calY=(mixed.calY, "vector")
+    )
     m = mixed.dim
     gamma = cfg.gains(m)
     D, Yc = mixed.Delta.values, mixed.calY.values
-    _require_finite("drem_ct", Delta=D, calY=Yc)
 
     # per component: theta_hat_i' = -gamma_i Delta^2 theta_hat_i + gamma_i Delta calY_i
     def stage(d, yy):
@@ -208,14 +206,15 @@ def drem_dt(mixed: MixedRegression, cfg: GradientConfig, theta_true=None) -> Est
 
     run exactly for k >= 1.
     """
-    grid = check_records("drem_dt", "dt", calY=(mixed.calY, "vector"))
+    grid = check_records(
+        "drem_dt", "dt", Delta=(mixed.Delta, "scalar"), calY=(mixed.calY, "vector")
+    )
     m = mixed.dim
     gamma = cfg.gains(m)
     D, Yc = mixed.Delta.values, mixed.calY.values
-    _require_finite("drem_dt", Delta=D, calY=Yc)
     with np.errstate(over="ignore"):
         D2 = D * D
-    _require_finite("drem_dt", **{"Delta^2": D2})
+    require_finite("drem_dt", **{"Delta^2": D2})
 
     th = np.empty((grid.count, m))
     th[0] = cfg.initial(m)
@@ -252,12 +251,11 @@ def closed_form_error_dt(
     Raises ``FloatingPointError`` when Delta is not finite or Delta^2
     overflows, as :func:`drem_dt` does.
     """
-    check_records("closed_form_error_dt", "dt", delta=(delta, "scalar"))
+    check_records("closed_form_error_dt", "dt", Delta=(delta, "scalar"))
     require_positive(gamma, "gamma")
-    _require_finite("closed_form_error_dt", Delta=delta.values)
     with np.errstate(over="ignore"):
         d2 = delta.values * delta.values
-        _require_finite("closed_form_error_dt", **{"Delta^2": d2})
+        require_finite("closed_form_error_dt", **{"Delta^2": d2})
         # a finite Delta^2 / gamma that overflows gives the factor's limit, 0
         factors = 1.0 / (1.0 + d2 / gamma)
     factors = factors.copy()

@@ -17,7 +17,6 @@ direction's reaches 0.9 (horizon - 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .quadrature import (
     lagged_difference,
     window_steps,
 )
-from .signals import Trajectory, check_records
+from .signals import Trajectory, check_records, whole_samples
 
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_DT_HORIZON = 100_000
@@ -43,12 +42,6 @@ class PeReport:
     is_pe: bool
     min_eigenvalues: np.ndarray
     start_times: np.ndarray
-
-
-def _as_vector_values(phi: Trajectory) -> np.ndarray:
-    if not np.all(np.isfinite(phi.values)):
-        raise ValueError("phi has non-finite samples")
-    return phi.values[:, None] if phi.is_scalar else phi.values
 
 
 def _smallest_eigenvalues(grams: np.ndarray) -> np.ndarray:
@@ -92,7 +85,7 @@ def pe_check_ct(
     """Scan every admissible start of a length-``window`` Gramian (Simpson
     quadrature) and report the worst smallest eigenvalue."""
     check_records("pe_check_ct", "ct", phi=(phi, "scalar or vector"))
-    vals = _as_vector_values(phi)
+    vals = phi.values.reshape(phi.grid.count, -1)
     lag = window_steps(window, phi.grid.step, "window")
     if phi.grid.horizon < 2 * window:
         raise ValueError("horizon must cover at least two windows")
@@ -100,12 +93,6 @@ def pe_check_ct(
         outer = np.einsum("ki,kj->kij", vals, vals)
         grams = lagged_difference(cumulative_simpson(outer, phi.grid.step), lag)[lag:]
     return _report("pe_check_ct", window, threshold, grams, phi.times())
-
-
-def _whole_window(window) -> int:
-    if isinstance(window, bool) or not isinstance(window, Real) or not float(window).is_integer():
-        raise ValueError(f"window must be a whole number of samples, got {window!r}")
-    return int(window)
 
 
 def _pe_scan_dt(phi: Trajectory, windows, threshold: float):
@@ -116,9 +103,9 @@ def _pe_scan_dt(phi: Trajectory, windows, threshold: float):
     costs O(N Kmax) and holds one window's sums at a time.
     """
     check_records("pe_check_dt", "dt", phi=(phi, "scalar or vector"))
-    vals = _as_vector_values(phi)
+    vals = phi.values.reshape(phi.grid.count, -1)
     n, m = vals.shape
-    windows = sorted({_whole_window(w) for w in windows})
+    windows = sorted({whole_samples(w, "window") for w in windows})
     if windows and windows[0] < m:
         raise ValueError(f"window {windows[0]} must be at least the dimension {m}")
     if windows and n < windows[-1] + 1:

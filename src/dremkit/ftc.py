@@ -38,6 +38,11 @@ from .signals import Trajectory, check_records, require_positive
 MIN_WINDOW_DEFICIT = 1e-9
 
 
+def _require_fraction(value: float, name: str) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
 class ClipContractError(RuntimeError):
     """A weight fed to the recovery formula reached 1, so 1 - w is not
     invertible; clipped weights can never trigger this."""
@@ -58,8 +63,7 @@ class FtcConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.gamma, "gamma")
-        if not 0.0 < self.clip_threshold < 1.0:
-            raise ValueError("clip_threshold must lie in (0, 1)")
+        _require_fraction(self.clip_threshold, "clip_threshold")
         require_positive(self.delay_window, "delay_window")
 
 
@@ -93,8 +97,7 @@ def _activation(
     delta: Trajectory, energy: np.ndarray, mu: float, start: int = 0
 ) -> float | None:
     """First grid time from sample ``start`` on with energy >= -ln(mu)."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
+    _require_fraction(mu, "mu")
     cond = energy[start:] >= -np.log(mu)
     if not cond.any():
         return None
@@ -129,8 +132,8 @@ def update_w(delta: Trajectory, gamma: float) -> Trajectory:
 
 def clip_w(w: Trajectory, mu: float) -> Trajectory:
     """Clip the weight at mu: w_c = mu where w >= mu, else w."""
-    if not 0.0 < mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
+    check_records("clip_w", w=(w, "scalar"))
+    _require_fraction(mu, "mu")
     return w.with_values(np.where(w.values >= mu, mu, w.values))
 
 

@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import affine_scan, rk4_affine
-from .signals import SignalKind, TimeGrid, Trajectory, check_records, sample_values, whole_steps
+from .signals import (SignalKind, TimeGrid, Trajectory, check_records, require_positive,
+                      sample_values, whole_samples, whole_steps)
 
 Coefficient = float | Sequence | np.ndarray | Callable
 
@@ -136,8 +137,10 @@ class SlidingWindowSpec:
     window: int
 
     def __post_init__(self) -> None:
-        if self.window < 1:
+        window = whole_samples(self.window, "window")
+        if window < 1:
             raise ValueError("window must be a positive number of steps")
+        object.__setattr__(self, "window", window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +152,7 @@ class KreSpec:
     z0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.pole > 0:
-            raise ValueError("pole must be positive")
+        require_positive(self.pole, "pole")
 
 
 def _delay_steps(delay: float, step: float) -> int:
@@ -300,8 +302,7 @@ def kre_as_drem_bank(phi: Trajectory, pole: float) -> OperatorBank:
     """Channel bank whose :func:`extend` output reproduces :func:`kre_ct`:
     channel i is the first-order filter x' = -pole*x + phi_i(t)*u, z = x."""
     grid = check_records("kre_as_drem_bank", "ct", phi=(phi, "vector"))
-    if not pole > 0:
-        raise ValueError("pole must be positive")
+    require_positive(pole, "pole")
     channels = tuple(
         LtvChannelSpec(
             n=1,

@@ -3,7 +3,7 @@
 ``cumulative_energy`` is the only integral of Delta^2: the error envelopes,
 the finite-time weights and activation times and the excitation-energy
 checks all read it, so quotient identities between them hold to rounding
-error, and its check on Delta is theirs. Its CT rule,
+error, and its overflow check is theirs. Its CT rule,
 ``cumulative_simpson``, also integrates the Gramians.
 """
 
@@ -41,8 +41,8 @@ def cumulative_energy(delta: Trajectory) -> Trajectory:
     up to the Simpson rule's local truncation error (order step^3) near
     zeros of the signal.
 
-    Raises ``FloatingPointError`` when Delta is not finite, or when Delta^2
-    or its integral overflows.
+    Raises ``FloatingPointError`` when Delta is not finite (the record
+    contract), or when Delta^2 or its integral overflows.
     """
     check_records("cumulative_energy", delta=(delta, "scalar"))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -53,8 +53,7 @@ def cumulative_energy(delta: Trajectory) -> Trajectory:
             out = np.cumsum(sq)
     if not (np.isfinite(sq).all() and np.isfinite(out).all()):
         raise FloatingPointError(
-            "cumulative_energy: non-finite Delta^2 (Delta is not finite, or its square"
-            " or integral overflows)"
+            "cumulative_energy: non-finite Delta^2 (Delta^2 or its integral overflows)"
         )
     return delta.with_values(out)
 

@@ -149,6 +149,7 @@ def convergence_time(
 
     ``from_time`` clips the search to later times (transient cutoff).
     """
+    check_records("convergence_time", theta_tilde=(theta_tilde, "scalar or vector"))
     err = np.abs(theta_tilde.values)
     if err.ndim > 1:
         err = err.max(axis=1)

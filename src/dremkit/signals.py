@@ -8,8 +8,10 @@ and safe to share across concurrent readers.
 Every stage takes its records under one contract, checked by
 :func:`check_records`: each record has the shape class the stage names
 (scalar, vector or matrix), all share one kind (CT or DT, the one the stage
-needs when it is CT-only or DT-only) and one grid. A violation raises
-``ValueError`` naming the stage and the record.
+needs when it is CT-only or DT-only) and one grid, and every sample is
+finite. A violation of the first three raises ``ValueError`` naming the
+stage and the record; a NaN or infinite sample is a numerical failure and
+raises ``FloatingPointError`` naming them, through :func:`require_finite`.
 
 Every function of time, a channel coefficient or a plant input, is read by
 one evaluator, :func:`sample_values`: a constant is broadcast to every
@@ -21,6 +23,7 @@ value per argument along a leading axis, or a ``ValueError`` names it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Literal
 
 import numpy as np
@@ -40,6 +43,14 @@ def require_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def require_finite(name: str, **arrays) -> None:
+    """Raise FloatingPointError naming the stage ``name`` and the label of
+    the first of ``arrays`` with a NaN or infinite sample."""
+    for label, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise FloatingPointError(f"{name}: non-finite {label} samples")
+
+
 def whole_steps(value: float, step: float) -> int | None:
     """``value / step`` when ``value`` is a whole number of steps of ``step``,
     to within ``1e-9 * max(step, |value|)``; None otherwise."""
@@ -48,6 +59,14 @@ def whole_steps(value: float, step: float) -> int | None:
         return None
     steps = int(round(ratio))
     return steps if abs(value - steps * step) <= 1e-9 * max(step, abs(value)) else None
+
+
+def whole_samples(value, name: str) -> int:
+    """``value`` as an int when it is a whole number (a bool is not);
+    otherwise ValueError naming it a number of samples."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of samples, got {value!r}")
+    return int(value)
 
 
 def sample_values(value, args: np.ndarray, shape: tuple, name: str) -> np.ndarray:
@@ -155,7 +174,8 @@ def check_records(name: str, kind: SignalKind | None = None, **records) -> TimeG
     or two joined by " or "). Every record must have one of its shape
     classes, the kind ``kind`` (or, when it is None, the first record's kind)
     and the first record's grid; otherwise ValueError names ``name`` and the
-    record.
+    record. Then every record must be finite; otherwise FloatingPointError
+    names them.
     """
     grid = None
     for label, (record, shapes) in records.items():
@@ -167,4 +187,5 @@ def check_records(name: str, kind: SignalKind | None = None, **records) -> TimeG
             raise ValueError(f"{name}: {label} is a {record.kind} record, not {kind}")
         if record.grid != grid:
             raise ValueError(f"{name}: {label} lies on {record.grid}, not on {grid}")
+    require_finite(name, **{label: record.values for label, (record, _) in records.items()})
     return grid

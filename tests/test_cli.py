@@ -421,6 +421,16 @@ class TestSimulate:
             ("estimator", "estimator.gamma", {"gamma": "fast"}),
             ("estimator", "estimator.theta_hat0", {"theta_hat0": ["zero", 0.0]}),
             ("regressor", "regressor.pole", {"pole": "five"}),
+            # a numeric string is not a JSON number either
+            ("plant", "plant.input.amplitude", {"input": {"kind": "sinusoid", "amplitude": "3", "frequency": 1.0}}),
+            ("estimator", "estimator.gamma", {"gamma": "1.0"}),
+            ("estimator", "estimator.theta_hat0", {"theta_hat0": ["0", "0"]}),
+            ("regressor", "regressor.pole", {"pole": "5"}),
+            ("grid", "grid.horizon", {"horizon": "0.2"}),
+            ("bank", "'bank.channels[0]': config field 'n'",
+             {"channels": [{"n": "1", "A": -1.0, "b": 1.0, "c": 1.0}, CUSTOM_CFG["bank"]["channels"][1]]}),
+            ("bank", "'bank.channels[0]': config field 'c'",
+             {"channels": [{"n": 1, "A": -1.0, "b": 1.0, "c": ["1.0"]}, CUSTOM_CFG["bank"]["channels"][1]]}),
         ],
     )
     def test_non_numeric_custom_field_exits_1(self, tmp_path, capsys, section, field, value):
@@ -442,12 +452,14 @@ class TestSimulate:
         "field", ["gamma", "clip_threshold", "delay_window", "theta_hat0"]
     )
     def test_non_numeric_ftc_field_exits_1(self, tmp_path, capsys, field):
-        cfg = json.loads(json.dumps(FTC_CFG))
-        cfg["ftc"][field] = "fast"
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-        assert f"ftc.{field}" in capsys.readouterr().err
-        assert not out.exists()
+        # "0.5" would be a valid value as a JSON number
+        for value in ("fast", "0.5"):
+            cfg = json.loads(json.dumps(FTC_CFG))
+            cfg["ftc"][field] = value
+            out = tmp_path / "o"
+            assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+            assert f"ftc.{field}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "base, section, value, field",
@@ -465,9 +477,9 @@ class TestSimulate:
             ("ftc", "ftc", {"clip_threshold": 1.5}, "clip_threshold"),
             ("custom", "out_dir", 5, "'out_dir'"),
             ("ftc", "out_dir", ["x"], "'out_dir'"),
-            ("ftc", "ftc", {"delay_window": "inf"}, "delay_window"),
-            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "inf"}]}, "'bank.channels[0]'"),
-            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": "nan"}]}, "'bank.channels[0]'"),
+            ("ftc", "ftc", {"delay_window": float("inf")}, "delay_window"),
+            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": float("inf")}]}, "'bank.channels[0]'"),
+            ("custom", "bank", {"channels": [{"n": 0, "mu": 1.0, "delay": float("nan")}]}, "'bank.channels[0]'"),
             ("custom", "plant", {"a": -0.4, "b": 0.4, "input": True}, "'plant.input'"),
             ("custom", "grid", {"step": True, "horizon": 0.2}, "'grid.step'"),
             ("custom", "plant", {"a": -0.4, "b": 0.4, "input": np.nan}, "'plant.input'"),
@@ -850,6 +862,11 @@ class TestCheckPe:
             ("signal.step", {"signal": {"kind": "zero", "step": 1e-300, "horizon": 1e10}, "window": 0.5}),
             ("signal.step", {"signal": {"kind": "zero", "domain": "dt", "step": 1e-300, "horizon": 1e10},
                              "window": 2}),
+            # a numeric string is not a JSON number either
+            ("threshold", {"signal": {"kind": "zero", "horizon": 1.0}, "window": 0.5, "threshold": "0.001"}),
+            ("window", {"signal": {"kind": "zero", "horizon": 1.0}, "window": "0.5"}),
+            ("signal.horizon", {"signal": {"kind": "zero", "horizon": "1.0"}, "window": 0.5}),
+            ("signal.dim", {"signal": {"kind": "zero", "horizon": 1.0, "dim": "2"}, "window": 0.5}),
         ],
     )
     def test_non_numeric_field_exits_1(self, tmp_path, capsys, no_study_runs, field, payload):
@@ -893,7 +910,8 @@ class TestCheckPe:
         assert not captured.out
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("inf")])
+    # json writes these as NaN, Infinity and -Infinity, which it reads back as numbers
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "field, payload",
         [

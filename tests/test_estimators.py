@@ -180,17 +180,17 @@ class TestNonFiniteDtData:
         with pytest.raises(FloatingPointError, match=f"dt_gradient: non-finite {signal} "):
             dt_gradient(y, phi, GradientConfig(1.0, np.zeros(2)))
 
+    # drem_dt's data is refused when its MixedRegression is built
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("signal", ["Delta", "calY"])
     def test_drem_dt(self, signal, bad):
         grid = TimeGrid(0.0, 1.0, 6)
         values = {"Delta": np.ones(6), "calY": np.ones((6, 2))}
         values[signal][3] = bad
-        mixed = MixedRegression(
-            calY=Trajectory(grid, values["calY"], "dt"), Delta=Trajectory(grid, values["Delta"], "dt")
-        )
-        with pytest.raises(FloatingPointError, match=f"drem_dt: non-finite {signal} "):
-            drem_dt(mixed, GradientConfig(1.0, np.zeros(2)))
+        with pytest.raises(FloatingPointError, match=f"MixedRegression: non-finite {signal} "):
+            MixedRegression(
+                calY=Trajectory(grid, values["calY"], "dt"), Delta=Trajectory(grid, values["Delta"], "dt")
+            )
 
 
 class TestNonFiniteCtData:
@@ -205,17 +205,17 @@ class TestNonFiniteCtData:
         with pytest.raises(FloatingPointError, match=f"ct_gradient: non-finite {signal} "):
             ct_gradient(y, phi, GradientConfig(1.0, np.zeros(2)))
 
+    # drem_ct's data is refused when its MixedRegression is built
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("signal", ["Delta", "calY"])
     def test_drem_ct(self, signal, bad):
         grid = TimeGrid(0.0, 1e-3, 6)
         values = {"Delta": np.ones(6), "calY": np.ones((6, 2))}
         values[signal][3] = bad
-        mixed = MixedRegression(
-            calY=Trajectory(grid, values["calY"], "ct"), Delta=Trajectory(grid, values["Delta"], "ct")
-        )
-        with pytest.raises(FloatingPointError, match=f"drem_ct: non-finite {signal} "):
-            drem_ct(mixed, GradientConfig(1.0, np.zeros(2)))
+        with pytest.raises(FloatingPointError, match=f"MixedRegression: non-finite {signal} "):
+            MixedRegression(
+                calY=Trajectory(grid, values["calY"], "ct"), Delta=Trajectory(grid, values["Delta"], "ct")
+            )
 
 
 class TestOverflowingData:

@@ -87,11 +87,16 @@ class TestClipW:
         w = Trajectory(grid, np.full(grid.count, 0.5), "ct")
         np.testing.assert_array_equal(clip_w(w, 0.98).values, w.values)
 
-    def test_mu_validation(self):
-        grid = TimeGrid.from_horizon(0.01, 1e-3)
-        w = Trajectory(grid, np.ones(grid.count), "ct")
-        with pytest.raises(ValueError):
-            clip_w(w, 1.0)
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf])
+    def test_mu_validation(self, mu):
+        # one rule for every threshold: FtcConfig's, clip_w's and the activation's
+        delta = sine_delta(0.1)
+        with pytest.raises(ValueError, match=r"^clip_threshold must lie in \(0, 1\)"):
+            FtcConfig(gamma=1.0, clip_threshold=mu)
+        with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1\)"):
+            clip_w(update_w(delta, 1.0), mu)
+        with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1\)"):
+            interval_excitation_time(delta, 1.0, mu)
 
 
 class TestFtcEstimate:
@@ -333,9 +338,9 @@ class TestPipelines:
 
 
 class TestBadDelta:
-    # cumulative_energy integrates Delta^2 for every reader, so its check is
-    # theirs: a NaN, an infinity or a square that overflows raises, and no
-    # RuntimeWarning escapes
+    # a NaN or an infinity breaks the record contract of the reader, which
+    # names itself; cumulative_energy integrates Delta^2 for every reader, so
+    # its overflow check is theirs. No RuntimeWarning escapes
     READERS = {
         "run_ftc": lambda hat, delta: run_ftc(hat, delta, FtcConfig(gamma=2.0)),
         "run_ftc_alert": lambda hat, delta: run_ftc_alert(hat, delta, FtcConfig(gamma=2.0)),
@@ -349,7 +354,8 @@ class TestBadDelta:
         values = delta.values.copy()
         values[400] = bad
         hat = ct_scalar(np.ones(delta.grid.count))
-        with pytest.raises(FloatingPointError, match=r"cumulative_energy: non-finite Delta\^2"):
+        match = r"cumulative_energy: non-finite Delta\^2" if bad == 1e200 else f"^{reader}: non-finite delta "
+        with pytest.raises(FloatingPointError, match=match):
             self.READERS[reader](hat, delta.with_values(values))
 
 

@@ -230,6 +230,22 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             sliding_window_phi(y, phi, SlidingWindowSpec(window=1))
 
+    @pytest.mark.parametrize("window", [2.5, True, "2", np.nan, np.inf])
+    def test_window_must_be_a_whole_number_of_samples(self, window):
+        with pytest.raises(ValueError, match="^window must be a whole number of samples"):
+            SlidingWindowSpec(window)
+
+    def test_a_whole_float_window_is_its_int(self, rng):
+        spec = SlidingWindowSpec(3.0)
+        assert spec.window == 3 and isinstance(spec.window, int)
+        grid = TimeGrid(0.0, 1.0, 10)
+        phi = Trajectory(grid, rng.normal(size=(10, 2)), "dt")
+        y = Trajectory(grid, rng.normal(size=10), "dt")
+        Y, Phi = sliding_window_phi(y, phi, spec)
+        Yb, Phib = brute_force_window(y.values, phi.values, 3)
+        np.testing.assert_array_equal(Phi.values, Phib)
+        np.testing.assert_array_equal(Y.values, Yb)
+
     def test_matches_brute_force_exactly(self, rng):
         grid = TimeGrid(0.0, 1.0, 300)
         phi = Trajectory(grid, rng.normal(size=(300, 2)), "dt")
@@ -268,6 +284,16 @@ class TestSlidingWindow:
 
 
 class TestKre:
+    @pytest.mark.parametrize("pole", [0.0, -1.0, np.inf, np.nan])
+    def test_pole_must_be_finite_and_positive(self, pole):
+        # an infinite pole used to pass, then fail as "recursion diverged" or
+        # as numpy's LinAlgError
+        phi = ct_traj(np.ones((5, 2)))
+        with pytest.raises(ValueError, match="^pole must be finite and positive"):
+            KreSpec(pole)
+        with pytest.raises(ValueError, match="^pole must be finite and positive"):
+            kre_as_drem_bank(phi, pole)
+
     def test_zero_phi_homogeneous_decay(self):
         grid = TimeGrid.from_horizon(1.0, 1e-3)
         phi = Trajectory(grid, np.zeros((grid.count, 2)), "ct")

@@ -25,3 +25,36 @@ def test_output_digests(tmp_path, monkeypatch, capsys):
         assert digest == hashlib.sha256((out / path).read_bytes()).hexdigest()
     for run in (*FIGURE_IDS, "tracking-pe", "custom-n2", "counterexample", "sincos"):
         assert f"{run}/manifest.json" in written
+
+
+COUNTER = SCRIPT.with_name("line_counts.py")
+# 16 lines, 8 of them code: 4, 5, 9 and 12-16. A string that is not a
+# docstring counts on every line it spans, as does a continued expression.
+MODULE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment
+x = 1
+# a comment line
+
+
+def f():
+    """Function docstring."""
+
+    s = """not a
+    docstring"""
+    return s
+y = (1,
+     2)
+'''
+
+
+def test_line_counts_known_answer(tmp_path, monkeypatch, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text("z = 2\n\n")
+    monkeypatch.setattr(sys, "argv", [COUNTER.name, str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(COUNTER), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["2 1 b.py", "16 8 pkg/a.py", "18 9 total"]

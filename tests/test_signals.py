@@ -16,6 +16,8 @@ from dremkit import (
     build_regressor,
     closed_form_error_ct,
     closed_form_error_dt,
+    clip_w,
+    convergence_time,
     ct_gradient,
     cumulative_energy,
     drem_ct,
@@ -101,7 +103,8 @@ class TestTrajectory:
 # The record contract of every public stage that takes records: the call, the
 # shape class of each record by label, and the kind the stage needs (None when
 # any one kind will do). The shape and grid faults change the last record; the
-# kind fault flips every record when the stage needs one kind, else the last.
+# kind fault flips every record when the stage needs one kind, else the last;
+# the non-finite fault puts a NaN or an infinity in each record in turn.
 _GAINS = GradientConfig(1.0, np.zeros(2))
 _FTC = FtcConfig(gamma=1.0, delay_window=0.2)
 _BANK = OperatorBank((LtvChannelSpec(n=0, d=1.0),) * 2)
@@ -121,7 +124,7 @@ CONTRACT = {
     "drem_dt": (lambda calY, Delta, theta_true: drem_dt(MixedRegression(calY, Delta), _GAINS, theta_true),
                 _MIXED_TRUTH, "dt"),
     "closed_form_error_ct": (lambda delta: closed_form_error_ct(delta, 1.0, 1.0), {"delta": "scalar"}, "ct"),
-    "closed_form_error_dt": (lambda delta: closed_form_error_dt(delta, 1.0, 1.0), {"delta": "scalar"}, "dt"),
+    "closed_form_error_dt": (lambda Delta: closed_form_error_dt(Delta, 1.0, 1.0), {"Delta": "scalar"}, "dt"),
     "update_w": (lambda delta: update_w(delta, 1.0), {"delta": "scalar"}, "ct"),
     "interval_excitation_time": (lambda delta: interval_excitation_time(delta, 1.0, 0.5),
                                  {"delta": "scalar"}, "ct"),
@@ -136,6 +139,8 @@ CONTRACT = {
     "pe_check_dt": (lambda phi: pe_check_dt(phi, 2), {"phi": "scalar or vector"}, "dt"),
     "build_regressor": (lambda u, y: build_regressor(RegressorSpec(5.0), PlantSpec(a=-1.0, b=1.0), u, y),
                         {"u": "scalar", "y": "scalar"}, "ct"),
+    "clip_w": (lambda w: clip_w(w, 0.5), {"w": "scalar"}, None),
+    "convergence_time": (convergence_time, {"theta_tilde": "scalar or vector"}, None),
 }
 WRONG_SHAPE = {"scalar": "vector", "vector": "matrix", "matrix": "vector", "scalar or vector": "matrix"}
 
@@ -172,6 +177,13 @@ def _contract_faults():
             yield name, "grid"
 
 
+def _non_finite_faults():
+    for name, (_, shapes, _) in CONTRACT.items():
+        for label in shapes:
+            for bad in ("nan", "inf", "-inf"):
+                yield name, label, bad
+
+
 class TestRecordContract:
     @pytest.mark.parametrize("name", CONTRACT)
     def test_records_that_keep_the_contract_pass(self, name):
@@ -182,6 +194,17 @@ class TestRecordContract:
     def test_a_record_that_breaks_it_is_refused_by_name(self, name, fault):
         call, records = _records(name, fault)
         with pytest.raises(ValueError, match=rf"^{name}: "):
+            call(**records)
+
+    @pytest.mark.parametrize("name, label, bad", list(_non_finite_faults()))
+    def test_a_non_finite_sample_is_refused_by_name(self, name, label, bad):
+        call, records = _records(name)
+        values = records[label].values.copy()
+        values[3] = float(bad)
+        records[label] = records[label].with_values(values)
+        # the drem rows build a MixedRegression from calY and Delta, which refuses them first
+        stage = "MixedRegression" if name.startswith("drem") and label != "theta_true" else name
+        with pytest.raises(FloatingPointError, match=rf"^{stage}: non-finite {label} samples$"):
             call(**records)
 
 
