@@ -212,7 +212,8 @@ _CHANNEL_FIELDS = {
 
 
 def parse_bank(cfg: dict) -> OperatorBank:
-    """The identification study's bank: two CT channels, one per parameter."""
+    """The identification study's bank: two CT channels without feedthrough,
+    one per parameter."""
     entries = _given(cfg, "bank", {"channels": _as_is}, ("channels",))["channels"]
     if not isinstance(entries, list):
         raise _fail("bank.channels", f"expected a list of objects, got {entries!r}")
@@ -229,6 +230,9 @@ def parse_bank(cfg: dict) -> OperatorBank:
             raise _fail(f"bank.channels[{i}]", str(exc)) from exc
         if channel.kind != "ct":
             raise _fail(f"bank.channels[{i}]", f"kind {channel.kind!r}; the study's signals are CT")
+        if not channel.has_zero_feedthrough():
+            field = f"bank.channels[{i}].d"
+            raise _fail(field, "must be 0: the study adds its own feedthrough (drem_dN)")
         channels.append(channel)
     try:
         bank = OperatorBank(tuple(channels))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import cumulative_energy, lagged_difference, window_steps
-from .signals import Trajectory, check_records, require_positive
+from .signals import Trajectory, check_records, delayed, require_positive
 
 # below this window weight deficit the delayed identity divides by ~0 and the
 # sample is reported as inactive instead
@@ -109,13 +109,11 @@ def _recover(
 ) -> Trajectory:
     """[theta_hat - w ref] / (1 - w) on the ``usable`` samples, the raw
     estimate elsewhere (never divided); w broadcasts over the components.
-    ``ref`` is ``ref0``, or with a ``lag`` the snapshot theta_hat(t - lag),
-    which is ``ref0`` while t < lag (signals vanish before time zero, so the
-    estimate was at rest)."""
+    ``ref`` is the snapshot theta_hat(t - lag), which is ``ref0`` while
+    t < lag (signals vanish before time zero, so the estimate was at rest);
+    with no ``lag`` it is ``ref0`` throughout."""
     hat = theta_hat.values
-    ref = np.broadcast_to(np.asarray(ref0, dtype=float), hat.shape)
-    if lag is not None:
-        ref = np.concatenate([ref[:lag], hat[:-lag]])
+    ref = delayed(hat, len(hat) if lag is None else lag, ref0)
     wk = w.values[usable]
     out = hat.copy()
     # transposed, the sample axis is last and wk broadcasts over components

@@ -8,8 +8,8 @@ optional feedthrough and a single delay tap:
          z(k) = c(k).x(k) + d(k) u(k) + mu(k) u(k - K)
 
 A bank of m channels applied to the scalar output y and to every component
-of the regressor phi produces the extended pair (Y, Phi) with Y = Phi theta
-(exact for zero initial conditions, up to transients otherwise).
+of the regressor phi produces the extended pair (Y, Phi) with Y = Phi theta.
+Every channel and filter state starts at rest, where that identity is exact.
 
 Continuous-time channels integrate by fixed-step RK4 with the input and any
 time-varying coefficients held at the left grid point over each step
@@ -23,7 +23,8 @@ path of :func:`kre_ct`, so the two agree bit for bit. Discrete-time channels
 compose their exact per-step maps ``(A(k), b(k) u(k))`` with the same scan,
 so they match the sample-by-sample recursion up to rounding; ``drem_dt`` in
 :mod:`dremkit.estimators` stays sequential. Signals are taken to vanish
-before time zero, so delayed taps read 0 until the delay window fills.
+before time zero (:func:`dremkit.signals.delayed`), so delayed taps read 0
+until the delay window fills.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import affine_scan, rk4_affine
-from .signals import (SignalKind, TimeGrid, Trajectory, check_records, require_positive,
-                      sample_values, whole_samples, whole_steps)
+from .signals import (SignalKind, TimeGrid, Trajectory, check_records, delayed,
+                      require_positive, sample_values, whole_samples, whole_steps)
 
 Coefficient = float | Sequence | np.ndarray | Callable
 
@@ -51,9 +52,10 @@ class LtvChannelSpec:
     value per entry along a leading axis.
     ``delay`` is in seconds for CT channels and in whole steps for DT
     channels; a CT delay must be a whole number of grid steps.
-    ``n = 0`` is a static channel: feedthrough and the delay tap. Stability
-    of a time-varying ``A`` is the caller's responsibility; a constant ``A``
-    is checked at construction.
+    ``n = 0`` is a static channel: feedthrough and the delay tap, and no
+    ``A``, ``b`` or ``c``. The state starts at rest. Stability of a
+    time-varying ``A`` is the caller's responsibility; a constant ``A`` is
+    checked at construction.
     """
 
     n: int = 0
@@ -63,7 +65,6 @@ class LtvChannelSpec:
     d: Coefficient = 0.0
     delay_gain: Coefficient = 0.0
     delay: float = 0.0
-    x0: np.ndarray | None = None
     kind: SignalKind = "ct"
 
     def __post_init__(self) -> None:
@@ -78,9 +79,11 @@ class LtvChannelSpec:
         if not np.isfinite(self.delay):
             raise ValueError(f"delay must be finite, got {self.delay}")
         required = ("A", "b", "c") if self.n > 0 else ()
-        for name in required:
-            if getattr(self, name) is None:
+        for name in ("A", "b", "c"):
+            if name in required and getattr(self, name) is None:
                 raise ValueError(f"{name} is required for a channel with state")
+            if name not in required and getattr(self, name) is not None:
+                raise ValueError(f"a static channel (n = 0) has no state, so no {name}")
         sizes = {"d": 1, "delay_gain": 1, **dict(zip(required, (self.n**2, self.n, self.n)))}
         for name, size in sizes.items():
             value = getattr(self, name)
@@ -97,10 +100,6 @@ class LtvChannelSpec:
                     raise ValueError(f"constant A must be Hurwitz, eigenvalues {eig}")
             elif np.max(np.abs(eig)) >= 1:
                 raise ValueError(f"constant A must be Schur stable, eigenvalues {eig}")
-        x0 = np.zeros(self.n) if self.x0 is None else np.asarray(self.x0, float)
-        if x0.shape != (self.n,):
-            raise ValueError(f"x0 must have shape ({self.n},)")
-        object.__setattr__(self, "x0", x0.copy())
 
     def has_zero_feedthrough(self) -> bool:
         return not callable(self.d) and float(np.asarray(self.d)) == 0.0
@@ -145,11 +144,10 @@ class SlidingWindowSpec:
 
 @dataclass(frozen=True, eq=False)
 class KreSpec:
-    """Single first-order filter 1/(p + pole) applied to phi*y and phi*phi^T."""
+    """Single first-order filter 1/(p + pole) applied to phi*y and phi*phi^T,
+    from rest."""
 
     pole: float
-    omega0: np.ndarray | None = None
-    z0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         require_positive(self.pole, "pole")
@@ -161,15 +159,6 @@ def _delay_steps(delay: float, step: float) -> int:
     if lag is None:
         raise ValueError(f"delay {delay!r} is not a whole number of grid steps of {step!r} s")
     return lag
-
-
-def _delayed_input(u: np.ndarray, lag: int) -> np.ndarray:
-    out = np.zeros_like(u)
-    if lag == 0:
-        out[:] = u
-    elif lag < len(u):
-        out[lag:] = u[:-lag]
-    return out
 
 
 def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray, index: int) -> np.ndarray:
@@ -191,7 +180,7 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray, index: int
     def table(coef: str, shape: tuple) -> np.ndarray:
         return sample_values(getattr(spec, coef), args, shape, f"{coef} of channel {index}")
 
-    Z = table("d", (1,)) * U + table("delay_gain", (1,)) * _delayed_input(U, lag)
+    Z = table("d", (1,)) * U + table("delay_gain", (1,)) * delayed(U, lag)
     if spec.n == 0:
         return Z
 
@@ -203,7 +192,7 @@ def _run_channel(spec: LtvChannelSpec, grid: TimeGrid, U: np.ndarray, index: int
     force = b[:, :, None] * U[:-1, None, :]
     if spec.kind == "ct":
         A, force = rk4_affine(A, A, A, force, force, force, grid.step)
-    X = affine_scan(A, force, spec.x0[:, None])
+    X = affine_scan(A, force, 0.0)
     # summed over a contiguous (count, c, n) state, c x adds the same terms
     # in the same order, from +0, as a single column's einsum("ki,ki->k"),
     # so every column and signed zero matches a one-column run
@@ -260,25 +249,19 @@ def kre_ct(spec: KreSpec, y: Trajectory, phi: Trajectory) -> tuple[Trajectory, T
 
         Omega' = -pole*Omega + phi phi^T,   Z' = -pole*Z + phi y
 
-    by the same held-coefficient RK4 step maps used for channel banks, as
-    one scan over the flattened Omega and Z entries.
+    from rest by the same held-coefficient RK4 step maps used for channel
+    banks, as one scan over the flattened Omega and Z entries.
     """
     grid = check_records("kre_ct", "ct", y=(y, "scalar"), phi=(phi, "vector"))
     h = grid.step
     m = phi.dim
     pole = spec.pole
-    omega = np.zeros((m, m)) if spec.omega0 is None else np.asarray(spec.omega0, float)
-    zvec = np.zeros(m) if spec.z0 is None else np.asarray(spec.z0, float)
-    if omega.shape != (m, m) or zvec.shape != (m,):
-        raise ValueError("initial conditions have the wrong shape")
-
     # Omega and Z share the scalar pole, so they run as one elementwise scan
     # over the m*m + m flattened columns
     P = np.einsum("ki,kj->kij", phi.values, phi.values).reshape(grid.count, m * m)
     q = phi.values * y.values[:, None]
     force = np.concatenate([P, q], axis=1)[:-1]
-    x0 = np.concatenate([omega.ravel(), zvec])
-    states = affine_scan(*rk4_affine(-pole, -pole, -pole, force, force, force, h), x0)
+    states = affine_scan(*rk4_affine(-pole, -pole, -pole, force, force, force, h), 0.0)
     Omega = states[:, : m * m].reshape(grid.count, m, m)
     Z = states[:, m * m :]
     return Trajectory(grid, Z, "ct"), Trajectory(grid, Omega, "ct")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import Trajectory, check_records, whole_steps
+from .signals import Trajectory, check_records, delayed, whole_steps
 
 
 def cumulative_simpson(samples: np.ndarray, step: float) -> np.ndarray:
@@ -70,10 +70,4 @@ def window_steps(window: float, step: float, field: str) -> int:
 def lagged_difference(cumulative: np.ndarray, lag: int) -> np.ndarray:
     """Moving-window integral ``C[k] - C[k-lag]`` with ``C`` treated as 0
     before the start of the record (signals vanish before time zero)."""
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    if lag == 0:
-        return np.zeros_like(cumulative)
-    out = cumulative.copy()
-    out[lag:] -= cumulative[:-lag]
-    return out
+    return cumulative - delayed(cumulative, lag)

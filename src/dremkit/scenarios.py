@@ -14,9 +14,12 @@ Two studies are wired up:
 The plant and the regressor filters are linear ODEs integrated by RK4; their
 step maps are composed by the prefix scan of :mod:`dremkit.integrate`.
 
-All initial conditions default to zero and are configurable; the stated
-convergence properties are sensitive to them because the constant-input case
-draws all of its excitation from the startup transient.
+The regressor filters and the extension channels start at rest, so
+Y = Phi theta holds exactly, and y = phi.theta up to the decay of the
+plant's own ``y0``; ``y0`` and the estimate's ``theta_hat0`` are the only
+configurable initial values. The stated convergence properties are
+sensitive to them because the constant-input case draws all of its
+excitation from the startup transient.
 """
 
 from __future__ import annotations
@@ -77,15 +80,16 @@ class PlantSpec:
 
 @dataclass(frozen=True, eq=False)
 class RegressorSpec:
-    """First-order measurement filters 1/(p + pole) applied to y and u.
+    """First-order measurement filters 1/(p + pole) applied to y and u,
+    from rest.
 
     Filtering the plant equation gives y = (a + pole) * phi_1 + b * phi_2
-    exactly for zero filter and plant initial conditions, so the true
-    parameter vector is (a + pole, b).
+    exactly when the plant starts at rest too (y0 = 0), and up to the
+    transient y0 exp(-pole t) otherwise, so the true parameter vector is
+    (a + pole, b).
     """
 
     pole: float
-    phi0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         require_positive(self.pole, "filter pole")
@@ -115,9 +119,8 @@ def build_regressor(
     pole = reg.pole
     drives = np.stack([y.values, u.values], axis=1)
     mids = 0.5 * (drives[:-1] + drives[1:])
-    x0 = np.zeros(2) if reg.phi0 is None else np.asarray(reg.phi0, float)
     phi = affine_scan(
-        *rk4_affine(-pole, -pole, -pole, drives[:-1], mids, drives[1:], grid.step), x0
+        *rk4_affine(-pole, -pole, -pole, drives[:-1], mids, drives[1:], grid.step), 0.0
     )
     theta_true = np.array([plant.a + pole, plant.b])
     return Trajectory(grid, phi, "ct"), theta_true

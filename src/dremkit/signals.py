@@ -87,6 +87,18 @@ def sample_values(value, args: np.ndarray, shape: tuple, name: str) -> np.ndarra
     return values.reshape((n,) + shape)
 
 
+def delayed(values: np.ndarray, lag: int, fill=0.0) -> np.ndarray:
+    """``values`` shifted ``lag`` samples later along the leading axis, with
+    ``fill`` before the shift: 0 for a signal, which vanishes before t = 0,
+    or the initial value of an estimate at rest."""
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
+    out = np.empty_like(values)
+    out[:lag] = fill
+    out[lag:] = values[: max(len(values) - lag, 0)]
+    return out
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling grid: times ``t0 + k*step`` for ``k = 0..count-1``."""
@@ -96,10 +108,13 @@ class TimeGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
-        if self.count < 1:
+        require_positive(self.step, "grid step")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"grid t0 must be finite, got {self.t0}")
+        count = whole_samples(self.count, "grid count")
+        if count < 1:
             raise ValueError(f"grid count must be >= 1, got {self.count}")
+        object.__setattr__(self, "count", count)
 
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(self.count)
@@ -110,11 +125,12 @@ class TimeGrid:
         return self.step * (self.count - 1)
 
     @classmethod
-    def from_horizon(cls, horizon: float, step: float, t0: float = 0.0) -> "TimeGrid":
+    def from_horizon(cls, horizon: float, step: float) -> "TimeGrid":
+        """The grid from t = 0 to ``horizon``, a whole number of steps."""
         steps = whole_steps(horizon, step)
         if steps is None:
             raise ValueError(f"horizon {horizon!r} is not a whole number of steps of {step!r} s")
-        return cls(t0=t0, step=step, count=steps + 1)
+        return cls(t0=0.0, step=step, count=steps + 1)
 
     def index_of(self, t: float) -> int:
         """Nearest grid index for time ``t`` (clipped to the grid)."""

@@ -613,6 +613,18 @@ class TestSimulate:
              "'signal.horizon'"),
             ("check-pe", {"signal": {"kind": "sinusoid-pair", "horizon": 10.0}, "window": 2 * np.pi},
              "'signal.horizon'"),
+            # a static channel has no state, so its A, b and c would be read by nothing
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [CUSTOM_CFG["bank"]["channels"][0],
+                                                               {"n": 0, "A": -2.0, "b": 2.0, "c": 1.0}]}),
+             "'bank.channels[1]': a static channel (n = 0) has no state, so no A"),
+            # the study adds its own feedthrough to the bank, constant or time-varying
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [dict(CUSTOM_CFG["bank"]["channels"][0], d=0.5),
+                                                               CUSTOM_CFG["bank"]["channels"][1]]}),
+             "'bank.channels[0].d': must be 0"),
+            ("simulate", edited(CUSTOM_CFG, bank={"channels": [
+                CUSTOM_CFG["bank"]["channels"][0],
+                dict(CUSTOM_CFG["bank"]["channels"][1], d={"kind": "sinusoid", "amplitude": 0.1, "frequency": 3.0})]}),
+             "'bank.channels[1].d': must be 0"),
         ],
     )
     def test_unread_or_missing_field_exits_1(self, tmp_path, capsys, no_study_runs, command, cfg, field):

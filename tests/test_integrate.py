@@ -27,7 +27,6 @@ from dremkit.operators import (
     LtvChannelSpec,
     OperatorBank,
     _delay_steps,
-    _delayed_input,
     extend,
     kre_ct,
 )
@@ -38,7 +37,7 @@ from dremkit.scenarios import (
     build_regressor,
     simulate_plant,
 )
-from dremkit.signals import TimeGrid, Trajectory, sample_values
+from dremkit.signals import TimeGrid, Trajectory, delayed, sample_values
 
 REL_TOL = 1e-12
 # "columns" is a matrix map over c stacked state columns, b of shape (N, n, c)
@@ -383,13 +382,13 @@ def old_apply_channel_ct(spec, u):
     h = grid.step
     times = grid.times()
     uv = u.values
-    u_del = _delayed_input(uv, _delay_steps(spec.delay, h))
+    u_del = delayed(uv, _delay_steps(spec.delay, h))
     z = sample_values(spec.d, times, (), "d") * uv
     z = z + sample_values(spec.delay_gain, times, (), "delay_gain") * u_del
     A_tab = sample_values(spec.A, times, (spec.n, spec.n), "A")
     b_tab = sample_values(spec.b, times, (spec.n,), "b")
     c_tab = sample_values(spec.c, times, (spec.n,), "c")
-    x = spec.x0.copy()
+    x = np.zeros(spec.n)
     xs = np.empty((grid.count, spec.n))
     xs[0] = x
     for k in range(grid.count - 1):
@@ -446,9 +445,8 @@ class TestSitesMatchTheirOldLoops:
     def test_build_regressor(self, grid, rng):
         plant = PlantSpec(a=-0.4, b=0.4)
         u, y = (Trajectory(grid, col, "ct") for col in smooth_signals(rng, grid, 2).T)
-        phi0 = np.array([0.3, -0.8])
-        phi, _ = build_regressor(RegressorSpec(pole=5.0, phi0=phi0), plant, u, y)
-        assert_close(phi.values, old_build_regressor(5.0, phi0, u.values, y.values, grid.step))
+        phi, _ = build_regressor(RegressorSpec(pole=5.0), plant, u, y)
+        assert_close(phi.values, old_build_regressor(5.0, np.zeros(2), u.values, y.values, grid.step))
 
     def test_ct_gradient(self, grid, rng):
         pv = smooth_signals(rng, grid, 3)
@@ -473,12 +471,12 @@ class TestSitesMatchTheirOldLoops:
         [
             LtvChannelSpec(
                 n=1, A=-2.0, b=Sinusoid(1.0, 3.0, 0.2), c=1.5, d=0.3,
-                delay_gain=0.5, delay=0.05, x0=np.array([0.4]), kind="ct",
+                delay_gain=0.5, delay=0.05, kind="ct",
             ),
             LtvChannelSpec(
                 n=2, A=[[-1.0, 2.0], [-2.0, -3.0]],
                 b=lambda t: np.stack([np.sin(2.0 * t), np.ones_like(t)], axis=-1), c=[1.0, -0.5],
-                delay_gain=-0.8, delay=0.1, x0=np.array([0.2, -0.6]), kind="ct",
+                delay_gain=-0.8, delay=0.1, kind="ct",
             ),
         ],
         ids=["n1", "n2"],
@@ -492,14 +490,8 @@ class TestSitesMatchTheirOldLoops:
     def test_kre_ct(self, grid, rng):
         pv = smooth_signals(rng, grid, 3)
         yv = pv @ np.array([1.0, -2.0, 0.5])
-        omega0 = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 0.5]])
-        z0 = np.array([0.3, -0.2, 1.0])
-        Z, Omega = kre_ct(
-            KreSpec(pole=1.5, omega0=omega0, z0=z0),
-            Trajectory(grid, yv, "ct"),
-            Trajectory(grid, pv, "ct"),
-        )
-        Z_ref, Omega_ref = old_kre_ct(1.5, omega0, z0, yv, pv, grid.step)
+        Z, Omega = kre_ct(KreSpec(pole=1.5), Trajectory(grid, yv, "ct"), Trajectory(grid, pv, "ct"))
+        Z_ref, Omega_ref = old_kre_ct(1.5, np.zeros((3, 3)), np.zeros(3), yv, pv, grid.step)
         assert_close(Omega.values, Omega_ref)
         assert_close(Z.values, Z_ref)
 

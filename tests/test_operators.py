@@ -9,7 +9,6 @@ from dremkit.operators import (
     OperatorBank,
     SlidingWindowSpec,
     _delay_steps,
-    _delayed_input,
     extend,
     kre_as_drem_bank,
     kre_ct,
@@ -17,7 +16,7 @@ from dremkit.operators import (
 )
 from dremkit.integrate import affine_scan, rk4_affine
 from dremkit.scenarios import Constant, Sinusoid
-from dremkit.signals import TimeGrid, Trajectory, sample_values
+from dremkit.signals import TimeGrid, Trajectory, delayed, sample_values
 
 
 def ct_traj(values, step=1e-3, t0=0.0):
@@ -65,6 +64,16 @@ class TestChannelConstruction:
         # rounding it to grid steps used to fail only once the channel ran
         with pytest.raises(ValueError, match="delay must be finite"):
             LtvChannelSpec(n=0, delay_gain=1.0, delay=delay, kind="ct")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"A": [[1.0, 2.0]], "b": "nonsense"}, {"A": -1.0}, {"b": 1.0}, {"c": lambda t: np.ones_like(t)}],
+        ids=["A-and-b", "A", "b", "c"],
+    )
+    def test_static_channel_refuses_state_space_fields(self, fields):
+        # they used to be accepted and never read
+        with pytest.raises(ValueError, match=r"^a static channel \(n = 0\) has no state, so no [Abc]$"):
+            LtvChannelSpec(n=0, d=1.0, **fields)
 
     def test_whole_dt_delay_as_float_accepted(self):
         u = dt_traj([1.0, 2.0, 3.0, 4.0])
@@ -294,14 +303,6 @@ class TestKre:
         with pytest.raises(ValueError, match="^pole must be finite and positive"):
             kre_as_drem_bank(phi, pole)
 
-    def test_zero_phi_homogeneous_decay(self):
-        grid = TimeGrid.from_horizon(1.0, 1e-3)
-        phi = Trajectory(grid, np.zeros((grid.count, 2)), "ct")
-        y = Trajectory(grid, np.zeros(grid.count), "ct")
-        omega0 = np.array([[2.0, 0.5], [0.5, 1.0]])
-        Z, Omega = kre_ct(KreSpec(pole=1.0, omega0=omega0), y, phi)
-        np.testing.assert_allclose(Omega.values[-1], np.exp(-1.0) * omega0, atol=1e-10)
-
     def test_constant_phi_closed_form(self):
         # Omega(t) = (1 - exp(-a t)) / a * phi phi^T from rest
         grid = TimeGrid.from_horizon(1.0, 1e-3)
@@ -393,7 +394,7 @@ def reference_apply_channel_ct(spec, u):
     h = grid.step
     times = grid.times()
     uv = u.values
-    u_del = _delayed_input(uv, _delay_steps(spec.delay, h))
+    u_del = delayed(uv, _delay_steps(spec.delay, h))
     d_tab = sample_values(spec.d, times, (), "d")
     mu_tab = sample_values(spec.delay_gain, times, (), "delay_gain")
     z = d_tab * uv + mu_tab * u_del
@@ -403,9 +404,9 @@ def reference_apply_channel_ct(spec, u):
     b_tab = sample_values(spec.b, times, (spec.n,), "b")
     c_tab = sample_values(spec.c, times, (spec.n,), "c")
     if spec.n == 1:
-        A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], spec.x0[0]
+        A, force, x0 = A_tab[:-1, 0, 0], b_tab[:-1, 0] * uv[:-1], 0.0
     else:
-        A, force, x0 = A_tab[:-1], b_tab[:-1] * uv[:-1, None], spec.x0
+        A, force, x0 = A_tab[:-1], b_tab[:-1] * uv[:-1, None], np.zeros(spec.n)
     xs = affine_scan(*rk4_affine(A, A, A, force, force, force, h), x0)
     z = z + np.einsum("ki,ki->k", c_tab, xs.reshape(grid.count, spec.n))
     return Trajectory(grid, z, "ct")
@@ -415,7 +416,7 @@ def reference_apply_channel_dt(spec, u):
     grid = u.grid
     ks = np.arange(grid.count)
     uv = u.values
-    u_del = _delayed_input(uv, int(round(spec.delay)))
+    u_del = delayed(uv, int(round(spec.delay)))
     d_tab = sample_values(spec.d, ks, (), "d")
     mu_tab = sample_values(spec.delay_gain, ks, (), "delay_gain")
     z = d_tab * uv + mu_tab * u_del
@@ -424,7 +425,7 @@ def reference_apply_channel_dt(spec, u):
     A_tab = sample_values(spec.A, ks, (spec.n, spec.n), "A")
     b_tab = sample_values(spec.b, ks, (spec.n,), "b")
     c_tab = sample_values(spec.c, ks, (spec.n,), "c")
-    x = spec.x0.copy()
+    x = np.zeros(spec.n)
     xs = np.empty((grid.count, spec.n))
     xs[0] = x
     for k in range(grid.count - 1):
@@ -447,7 +448,8 @@ def reference_extend(bank, y, phi):
 
 
 def random_channel(rng, kind, n, style, lag, step):
-    """A stable channel with a delay tap of ``lag`` steps and a non-zero x0.
+    """A stable channel with a delay tap of ``lag`` steps, whose state starts
+    at rest.
 
     ``style`` picks the coefficients: constants, plain numpy callables or
     named ``Sinusoid`` signals, each callable evaluated on the whole array.
@@ -477,10 +479,7 @@ def random_channel(rng, kind, n, style, lag, step):
         A0 = rng.uniform(0.1, 0.9) * R / radius
     A = A0 if style == "constant" else lambda t: np.multiply.outer(1.0 + 0.05 * np.sin(t), A0)
     shape = (n,) if n > 1 else ()
-    return LtvChannelSpec(
-        n=n, A=A, b=coefficient(shape), c=coefficient(shape),
-        x0=rng.normal(size=n), **fields,
-    )
+    return LtvChannelSpec(n=n, A=A, b=coefficient(shape), c=coefficient(shape), **fields)
 
 
 def random_bank(seed, kind, ns, style, count):

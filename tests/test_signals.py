@@ -37,7 +37,7 @@ from dremkit import (
     sliding_window_phi,
     update_w,
 )
-from dremkit.signals import TimeGrid, Trajectory, check_records, whole_steps
+from dremkit.signals import TimeGrid, Trajectory, check_records, delayed, whole_steps
 
 
 class TestTimeGrid:
@@ -46,6 +46,28 @@ class TestTimeGrid:
             TimeGrid(0.0, 0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 0.1, 0)
+
+    @pytest.mark.parametrize(
+        "t0, step, count, message",
+        [
+            (0.0, 1e-3, 2.5, "^grid count must be a whole number of samples, got 2.5$"),
+            (0.0, 1e-3, True, "^grid count must be a whole number of samples, got True$"),
+            (0.0, 1e-3, "3", "^grid count must be a whole number of samples, got '3'$"),
+            (0.0, float("inf"), 3, "^grid step must be finite and positive, got inf$"),
+            (0.0, float("nan"), 3, "^grid step must be finite and positive, got nan$"),
+            (float("nan"), 1e-3, 3, "^grid t0 must be finite, got nan$"),
+            (float("inf"), 1e-3, 3, "^grid t0 must be finite, got inf$"),
+            (0.0, 1e-3, 0.0, "^grid count must be >= 1, got 0.0$"),
+        ],
+    )
+    def test_a_grid_no_record_can_live_on_is_refused(self, t0, step, count, message):
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(t0, step, count)
+
+    def test_whole_count_is_stored_as_int(self):
+        grid = TimeGrid(0.0, 1e-3, 3.0)
+        assert type(grid.count) is int and grid.count == 3
+        assert grid == TimeGrid(0.0, 1e-3, 3)
 
     def test_times_and_horizon(self):
         grid = TimeGrid(1.0, 0.5, 4)
@@ -59,6 +81,23 @@ class TestTimeGrid:
     def test_single_sample_grid(self):
         grid = TimeGrid.from_horizon(0.0, 1e-3)
         assert grid.count == 1
+
+
+class TestDelayed:
+    def test_known_answers(self):
+        values = np.arange(1.0, 5.0)
+        np.testing.assert_array_equal(delayed(values, 0), values)
+        np.testing.assert_array_equal(delayed(values, 1), [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(delayed(values, 3, fill=-1.0), [-1.0, -1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(delayed(values, 9), np.zeros(4))
+
+    def test_fill_broadcasts_over_the_components(self):
+        values = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(delayed(values, 2, [7.0, 8.0]), [[7, 8], [7, 8], [0, 1]])
+
+    def test_negative_lag_is_refused(self):
+        with pytest.raises(ValueError, match="^lag must be nonnegative, got -1$"):
+            delayed(np.zeros(3), -1)
 
 
 class TestTrajectory:
